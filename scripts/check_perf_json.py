@@ -3,6 +3,10 @@
 
 Usage: check_perf_json.py bench/perf_baselines.json PERF_a.json [...]
 
+Every report's host block must name the PWRS sampler path the run took
+("pwrs_kernel": "avx512" or "scalar"), so runs on hosts with and without
+AVX-512 are never compared unawares.
+
 The baselines file pins per-workload rate floors:
 
   {
@@ -30,6 +34,9 @@ Exit codes: 0 ok, 1 regression or malformed report, 2 usage.
 import json
 import sys
 
+# The PWRS sampler paths a report's host block may name.
+PWRS_KERNELS = ("avx512", "scalar")
+
 
 def fail(msg):
     print(f"check_perf_json: {msg}", file=sys.stderr)
@@ -43,6 +50,11 @@ def check_report(path, baselines, tolerance):
         if key not in report:
             fail(f"{path}: missing required key '{key}'")
             return False
+    kernel = report["host"].get("pwrs_kernel")
+    if kernel not in PWRS_KERNELS:
+        fail(f"{path}: host.pwrs_kernel must be one of "
+             f"{', '.join(PWRS_KERNELS)}, got {kernel!r}")
+        return False
     name = report["perf"]
     floors = baselines.get(name)
     if floors is None:

@@ -4,6 +4,7 @@
 
 #include "common/sim_thread_pool.h"
 #include "hwsim/validation.h"
+#include "lightrw/config_validation.h"
 #include "reliability/fault_injector.h"
 
 namespace lightrw::distributed {
@@ -22,9 +23,8 @@ Status ValidateDistributedConfig(const DistributedConfig& config) {
   if (config.inflight_walkers_per_board == 0) {
     return InvalidArgumentError("inflight_walkers_per_board must be >= 1");
   }
-  if (config.board.sampler_parallelism == 0) {
-    return InvalidArgumentError("board.sampler_parallelism must be >= 1");
-  }
+  LIGHTRW_RETURN_IF_ERROR(core::ValidateSamplerParallelism(
+      config.board.sampler_parallelism, "board.sampler_parallelism"));
   if (config.board.num_instances == 0) {
     return InvalidArgumentError("board.num_instances must be >= 1");
   }

@@ -9,20 +9,26 @@
 
 namespace lightrw::core {
 
+Status ValidateSamplerParallelism(uint32_t k, std::string_view field) {
+  if (!IsPowerOfTwo(k)) {
+    return InvalidArgumentError(
+        std::string(field) +
+        " must be a nonzero power of two (prefix-sum and comparator trees "
+        "are binary)");
+  }
+  if (k > 64) {
+    return InvalidArgumentError(
+        std::string(field) +
+        " above 64 exceeds ThundeRiNG's validated stream count");
+  }
+  return Status::Ok();
+}
+
 Status ValidateConfig(const AcceleratorConfig& config,
                       bool needs_prev_neighbors,
                       const DeviceResources& device) {
-  if (config.sampler_parallelism == 0 ||
-      !IsPowerOfTwo(config.sampler_parallelism)) {
-    return InvalidArgumentError(
-        "sampler_parallelism must be a nonzero power of two (prefix-sum "
-        "and comparator trees are binary)");
-  }
-  if (config.sampler_parallelism > 64) {
-    return InvalidArgumentError(
-        "sampler_parallelism above 64 exceeds ThundeRiNG's validated "
-        "stream count");
-  }
+  LIGHTRW_RETURN_IF_ERROR(ValidateSamplerParallelism(
+      config.sampler_parallelism, "sampler_parallelism"));
   if (config.cache_kind != CacheKind::kNone &&
       (config.cache_entries == 0 || !IsPowerOfTwo(config.cache_entries))) {
     return InvalidArgumentError(

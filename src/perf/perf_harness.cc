@@ -9,6 +9,7 @@
 #include <thread>
 
 #include "common/check.h"
+#include "sampling/parallel_wrs.h"
 
 namespace lightrw::perf {
 namespace {
@@ -136,6 +137,7 @@ obs::Json HostContext() {
   host.Set("build", "debug");
 #endif
   host.Set("pointer_bits", static_cast<uint64_t>(sizeof(void*) * 8));
+  host.Set("pwrs_kernel", sampling::PwrsKernelName());
   return host;
 }
 

@@ -122,8 +122,10 @@ WorkloadResult MeasureWorkload(const std::string& name,
                                const std::function<WorkCounters()>& body);
 
 // {"sim_threads": ..., "hardware_concurrency": ..., "compiler": ...,
-//  "build": "release"|"debug", "pointer_bits": ...}. sim_threads is the
-// resolved LIGHTRW_SIM_THREADS value the engines will use.
+//  "build": "release"|"debug", "pointer_bits": ...,
+//  "pwrs_kernel": "avx512"|"scalar"}. sim_threads is the resolved
+// LIGHTRW_SIM_THREADS value the engines will use; pwrs_kernel is the
+// PWRS sampler path this host runs.
 obs::Json HostContext();
 
 // One workload as a JSON object (schema documented in DESIGN.md):

@@ -100,6 +100,28 @@ class ThunderingRng {
   // out.size() must equal num_streams().
   void NextBatch(std::span<uint32_t> out);
 
+  // The shared LCG (Knuth's MMIX multiplier; full period mod 2^64) and
+  // the decorrelator's two xorshift distances. Vectorized consumers of
+  // Lanes() must apply exactly these, in the order Next() does.
+  static constexpr uint64_t kLcgMultiplier = 6364136223846793005ULL;
+  static constexpr uint64_t kLcgIncrement = 1442695040888963407ULL;
+  static constexpr int kDecorrelateMixShift = 29;
+  static constexpr int kDecorrelateFoldShift = 32;
+
+  // Raw per-stream arrays for streams [base, base + n): element i of each
+  // pointer belongs to stream base + i. A consumer that advances a lane
+  // must store the new state back, exactly as Next() would.
+  struct LaneView {
+    uint64_t* states;
+    const uint64_t* offsets;
+    const uint64_t* multipliers;
+  };
+  LaneView Lanes(size_t base, [[maybe_unused]] size_t n) {
+    LIGHTRW_DCHECK(base + n <= states_.size());
+    return {states_.data() + base, offsets_.data() + base,
+            multipliers_.data() + base};
+  }
+
   // Draws one output from each of streams [base, base + out.size()), in
   // stream order — byte-identical to calling Next(base + i) in a loop,
   // but with the loop inside so the k-lane samplers advance all their
@@ -115,8 +137,7 @@ class ThunderingRng {
 
  private:
   static uint64_t LcgAdvance(uint64_t s) {
-    // Knuth's MMIX multiplier; full-period mod 2^64 LCG.
-    return s * 6364136223846793005ULL + 1442695040888963407ULL;
+    return s * kLcgMultiplier + kLcgIncrement;
   }
 
   uint32_t Decorrelate(uint64_t shared, size_t stream) const {
@@ -125,9 +146,9 @@ class ThunderingRng {
     // uniform; the stream-specific constants break cross-stream
     // correlation of the shared sequence.
     uint64_t z = shared ^ offsets_[stream];
-    z ^= z >> 29;
+    z ^= z >> kDecorrelateMixShift;
     z *= multipliers_[stream];
-    z ^= z >> 32;
+    z ^= z >> kDecorrelateFoldShift;
     return static_cast<uint32_t>(z);
   }
 

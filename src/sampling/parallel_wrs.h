@@ -8,6 +8,12 @@
 //
 // The result is distributed identically to the sequential sampler: item i
 // is finally selected with probability w_i / sum(w).
+//
+// OfferBatch runs the lanes of a batch eight at a time with AVX-512 when
+// the host has it, and otherwise (or when a batch does not qualify) runs
+// OfferBatchReference, the lane-by-lane loop. Both paths select the same
+// item, accumulate the same sum, and leave every RNG stream in the same
+// state; DESIGN.md "PWRS kernel" states the contract.
 
 #ifndef LIGHTRW_SAMPLING_PARALLEL_WRS_H_
 #define LIGHTRW_SAMPLING_PARALLEL_WRS_H_
@@ -45,6 +51,15 @@ class ParallelWrsSampler {
   // weights[0].
   void OfferBatch(std::span<const Weight> weights, size_t base_index);
 
+  // OfferBatch on the scalar path, whatever the host supports: the
+  // fallback and the differential oracle of the SIMD kernel.
+  void OfferBatchReference(std::span<const Weight> weights,
+                           size_t base_index);
+
+  // True when OfferBatch may take the SIMD kernel (chosen once, at
+  // construction, from the host CPU).
+  bool simd_active() const { return simd_; }
+
   // Convenience: streams an entire weight sequence through OfferBatch.
   // Returns selected().
   size_t SampleAll(std::span<const Weight> weights);
@@ -55,12 +70,16 @@ class ParallelWrsSampler {
 
  private:
   size_t k_;
+  bool simd_;
   rng::ThunderingRng* rng_;
   size_t stream_base_;
   uint64_t weight_sum_ = 0;
   size_t selected_ = kNoSample;
   uint64_t batches_consumed_ = 0;
 };
+
+// "avx512" when this host runs the SIMD PWRS kernel, else "scalar".
+const char* PwrsKernelName();
 
 }  // namespace lightrw::sampling
 

@@ -132,6 +132,26 @@ TEST(DistributedConfigValidationTest, RejectsZeroSamplerParallelism) {
   EXPECT_NE(status.message().find("sampler_parallelism"), std::string::npos);
 }
 
+// ClusterSim and WalkService must accept exactly the lane counts every
+// other engine accepts: powers of two up to 64.
+TEST(DistributedConfigValidationTest, RejectsNonPowerOfTwoSamplerParallelism) {
+  DistributedConfig config;
+  config.board.sampler_parallelism = 12;
+  const Status status = ValidateDistributedConfig(config);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("board.sampler_parallelism"),
+            std::string::npos);
+}
+
+TEST(DistributedConfigValidationTest, RejectsSamplerParallelismAbove64) {
+  DistributedConfig config;
+  config.board.sampler_parallelism = 128;
+  const Status status = ValidateDistributedConfig(config);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("board.sampler_parallelism"),
+            std::string::npos);
+}
+
 TEST(DistributedConfigValidationTest, RejectsZeroBoardInstances) {
   DistributedConfig config;
   config.board.num_instances = 0;

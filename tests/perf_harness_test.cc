@@ -150,7 +150,7 @@ TEST(PerfReportTest, JsonSchemaRoundTrips) {
   ASSERT_NE(host, nullptr);
   for (const char* key :
        {"sim_threads", "hardware_concurrency", "compiler", "build",
-        "pointer_bits"}) {
+        "pointer_bits", "pwrs_kernel"}) {
     EXPECT_NE(FindOrNull(*host, key), nullptr) << key;
   }
 
