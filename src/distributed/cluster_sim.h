@@ -1,9 +1,10 @@
 // Event-driven execution core of the distributed LightRW simulation.
 //
-// ClusterSim owns the per-board datapaths (DRAM channel, degree-aware
-// cache, dynamic burst engine, k-lane WRS timing, egress link, fault
-// streams) and the global discrete-event loop that interleaves walkers
-// across boards in simulated-cycle order. Two drivers sit on top of it:
+// ClusterSim owns the boards (a core::BoardDatapath each — DRAM channel,
+// degree-aware cache, dynamic burst engine, k-lane WRS timing; see
+// DESIGN.md "Board datapath" — plus an egress link and fault streams)
+// and the global discrete-event loop that interleaves walkers across
+// boards in simulated-cycle order. Two drivers sit on top of it:
 //
 //   DistributedEngine::Run  the closed batch workload (load a query set,
 //                           keep every walker slot busy until done)
@@ -28,6 +29,7 @@
 #define LIGHTRW_DISTRIBUTED_CLUSTER_SIM_H_
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <queue>
@@ -40,10 +42,9 @@
 #include "distributed/partition.h"
 #include "graph/csr.h"
 #include "hwsim/link.h"
-#include "lightrw/burst_engine.h"
+#include "lightrw/board_datapath.h"
 #include "lightrw/config.h"
 #include "lightrw/step_sampler.h"
-#include "lightrw/vertex_cache.h"
 #include "reliability/fault_injector.h"
 #include "reliability/membership.h"
 #include "rng/rng.h"
@@ -308,7 +309,6 @@ class ClusterSim {
   void FailWalker(size_t slot, hwsim::Cycle at, bool board_lost);
   void Recover(size_t slot, hwsim::Cycle at);
   void TakeCheckpoint(size_t slot, Board& board, hwsim::Cycle at);
-  hwsim::Cycle LookupInfo(Board& board, hwsim::Cycle t, graph::VertexId v);
   // Membership machinery (see DESIGN.md "Membership, spares & partition
   // rebuild"). Transition() bumps the epoch and logs/traces the change;
   // the others drive the state machine off kind-2 events.
@@ -335,7 +335,8 @@ class ClusterSim {
   bool needs_prev_neighbors_ = false;
   double stop_probability_ = 0.0;
 
-  std::vector<Board> boards_;
+  // A deque: boards hold a BoardDatapath, which never moves.
+  std::deque<Board> boards_;
   std::vector<Walker> walkers_;
   std::vector<WalkerAttrib> attribs_;  // parallel to walkers_
   std::vector<WalkerCold> cold_;       // parallel to walkers_

@@ -61,6 +61,14 @@ struct DramStats {
   uint64_t bytes = 0;           // beats * bus_bytes
   Cycle busy_cycles = 0;        // cycles the channel was occupied
   uint64_t useful_bytes = 0;    // reported by the caller via ReportUseful
+
+  void Accumulate(const DramStats& part) {
+    requests += part.requests;
+    beats += part.beats;
+    bytes += part.bytes;
+    busy_cycles += part.busy_cycles;
+    useful_bytes += part.useful_bytes;
+  }
 };
 
 // One DRAM channel with banked command issue and a shared data bus.

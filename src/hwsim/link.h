@@ -32,6 +32,12 @@ struct LinkStats {
   uint64_t messages = 0;  // wire transmissions, including retransmissions
   uint64_t payload_bytes = 0;
   Cycle busy_cycles = 0;
+
+  void Accumulate(const LinkStats& part) {
+    messages += part.messages;
+    payload_bytes += part.payload_bytes;
+    busy_cycles += part.busy_cycles;
+  }
 };
 
 // Outcome of one reliable send (timeout + retransmission protocol).

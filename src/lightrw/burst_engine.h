@@ -45,6 +45,13 @@ struct BurstStats {
                ? 1.0
                : static_cast<double>(requested_bytes) / loaded_bytes;
   }
+  void Accumulate(const BurstStats& part) {
+    requests += part.requests;
+    long_bursts += part.long_bursts;
+    short_bursts += part.short_bursts;
+    requested_bytes += part.requested_bytes;
+    loaded_bytes += part.loaded_bytes;
+  }
 };
 
 // Stateful engine bound to one DRAM channel: plans each request and issues

@@ -5,15 +5,14 @@
 #include <utility>
 #include <vector>
 
-#include "common/bits.h"
 #include "common/check.h"
 #include "common/sim_thread_pool.h"
 #include "lightrw/step_sampler.h"
+#include "lightrw/uniform_engine.h"
 #include "obs/metrics.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
 #include "rng/rng.h"
-#include "sampling/sampler.h"
 
 namespace lightrw::core {
 
@@ -23,56 +22,39 @@ using apps::WalkState;
 using graph::VertexId;
 using hwsim::Cycle;
 
-// Trace track (tid) layout within one instance's pid: one lane per
-// pipeline stage, mirroring the module chain of paper Fig. 3.
-enum TraceTrack : uint32_t {
-  kInfoTrack = 0,    // Neighbor Info Loader (row-index lookups)
-  kFetchTrack = 1,   // Dynamic Burst Engine (adjacency streams)
-  kWrsTrack = 2,     // Weight Updater + WRS Sampler lanes
-  kRetireTrack = 3,  // query retirement
-  kDramTrack = 4,    // DRAM channel data-bus service windows
-};
-
-void NameInstanceTracks(obs::TraceRecorder* trace, uint32_t pid,
-                        const std::string& process_name) {
-  trace->NameProcess(pid, process_name);
-  trace->NameTrack(pid, kInfoTrack, "info loader");
-  trace->NameTrack(pid, kFetchTrack, "burst engine");
-  trace->NameTrack(pid, kWrsTrack, "wrs sampler");
-  trace->NameTrack(pid, kRetireTrack, "retire");
-  trace->NameTrack(pid, kDramTrack, "dram channel");
-}
-
-// One LightRW instance bound to one DRAM channel (paper Fig. 9).
+// One accelerator instance bound to one DRAM channel (paper Fig. 9): the
+// slot/heap driver of both cycle engines over a BoardDatapath. A
+// kAdjacency instance samples with the k-lane StepSampler and draws stop
+// coins from `aux_`; a kOneRecord instance (UniformCycleEngine, no app)
+// draws one uniform neighbor index per step from `aux_`.
 class Instance {
  public:
   // `trace` overrides config.trace so a parallel run can hand each
   // instance a private shard recorder (merged in instance order after
   // the barrier) instead of contending on one shared recorder.
   Instance(const graph::CsrGraph* graph, const apps::WalkApp* app,
-           const AcceleratorConfig& config, uint32_t instance_id,
-           uint64_t seed, obs::TraceRecorder* trace,
-           obs::TimeSeriesRecorder* ts)
+           const AcceleratorConfig& config, FetchKind kind,
+           uint32_t instance_id, uint64_t seed, uint64_t aux_seed,
+           obs::TraceRecorder* trace, obs::TimeSeriesRecorder* ts)
       : graph_(graph),
         app_(app),
         config_(config),
+        kind_(kind),
         instance_id_(instance_id),
+        needs_prev_(app != nullptr && app->needs_prev_neighbors()),
         trace_(trace),
         ts_(ts),
-        channel_(config.dram),
-        burst_(&channel_, config.burst),
-        cache_(MakeVertexCache(config.cache_kind, config.cache_entries)),
+        datapath_(graph, config, kind),
         rng_(config.sampler_parallelism, seed),
         sampler_(config.sampler_parallelism, &rng_),
-        stop_gen_(seed ^ 0x5709ULL) {
+        aux_(aux_seed) {
+    LIGHTRW_CHECK((app == nullptr) == (kind == FetchKind::kOneRecord));
     if (config.faults.enabled) {
       faults_ = reliability::FaultStream(config.faults, instance_id_);
-      channel_.AttachFaults(&faults_, &rel_);
+      datapath_.channel().AttachFaults(&faults_, &rel_);
     }
     if (trace_ != nullptr) {
-      NameInstanceTracks(trace_, instance_id_,
-                         "accel instance " + std::to_string(instance_id_));
-      channel_.AttachTrace(trace_, instance_id_, kDramTrack);
+      datapath_.AttachTrace(trace_, instance_id_);
     }
     if (ts_ != nullptr) {
       // Live scraped series, handles cached up front so the series set
@@ -99,12 +81,12 @@ class Instance {
 
  private:
   // Each walk step flows through two scheduled phases so that the two
-  // DRAM request groups of a step (row_index lookups, then the adjacency
+  // DRAM request groups of a step (row_index lookups, then the neighbor
   // fetch once the address is known) are issued at their proper simulated
   // times and interleave fairly with other in-flight walks.
   enum class Phase {
-    kInfo,   // row_index lookup(s) through the cache
-    kFetch,  // adjacency burst fetch + weight update + sampling
+    kInfo,   // BoardDatapath::Info
+    kFetch,  // BoardDatapath::Fetch / FetchOneRecord + sampling
   };
 
   struct Slot {
@@ -117,24 +99,23 @@ class Instance {
     bool active = false;
   };
 
-  // Timing of the row_index lookup through the configured cache.
-  Cycle LookupNeighborInfo(Cycle t, VertexId v);
-
-  // The two step phases; see Phase.
-  Cycle InfoPhase(Slot* slot, Cycle t);
-  Cycle FetchPhase(Slot* slot, Cycle t, VertexId* next,
-                   AccelRunStats* stats);
+  // Runs the fetch phase of `state`'s step at `now` and samples the next
+  // vertex into *next (kInvalidVertex if no neighbor is sampleable).
+  StepTiming FetchAndSample(const WalkState& state, Cycle now,
+                            VertexId* next);
 
   bool tracing() const { return trace_ != nullptr && trace_->accepting(); }
 
-  // Publishes this instance's module statistics into the configured
-  // metrics registry under instance-labeled names.
+  // Publishes this instance's statistics into the configured metrics
+  // registry under instance-labeled names.
   void PublishMetrics(Cycle makespan, uint64_t queries, uint64_t steps);
 
   const graph::CsrGraph* graph_;
   const apps::WalkApp* app_;
   const AcceleratorConfig& config_;
+  const FetchKind kind_;
   const uint32_t instance_id_;
+  const bool needs_prev_;
   obs::TraceRecorder* trace_;
   // Simulated-time telemetry shard for this instance (may be null). The
   // event loop drives its window clock; cached instrument handles below.
@@ -142,162 +123,34 @@ class Instance {
   obs::Counter* ts_steps_ = nullptr;
   obs::Counter* ts_retired_ = nullptr;
   obs::Histogram* ts_latency_ = nullptr;
-  StageCycleStats stage_;
-  hwsim::DramChannel channel_;
-  DynamicBurstEngine burst_;
-  std::unique_ptr<VertexCache> cache_;
+  BoardDatapath datapath_;
   rng::ThunderingRng rng_;
   StepSampler sampler_;
-  rng::Xoshiro256StarStar stop_gen_;
+  // Stop coins (kAdjacency) or uniform neighbor picks (kOneRecord).
+  rng::Xoshiro256StarStar aux_;
   // Deterministic DRAM ECC fault schedule (disabled unless
   // config.faults.enabled) and the counters its events land in.
   reliability::FaultStream faults_;
   reliability::ReliabilityStats rel_;
-  // The weight-updater/WRS pipeline is a single k-wide unit per instance:
-  // concurrent steps serialize through it.
-  Cycle sampler_busy_ = 0;
 };
 
-Cycle Instance::LookupNeighborInfo(Cycle t, VertexId v) {
-  if (cache_ != nullptr) {
-    if (cache_->Probe(v)) {
-      if (tracing()) {
-        trace_->Instant("cache_hit", "cache", instance_id_, kInfoTrack, t);
-      }
-      return t + 1;  // on-chip hit: single-cycle response (Fig. 5 step c)
-    }
-    if (tracing()) {
-      trace_->Instant("cache_miss", "cache", instance_id_, kInfoTrack, t);
-    }
-    const Cycle done = channel_.Access(t, /*burst_beats=*/1);
-    channel_.ReportUseful(graph::kBytesPerRowRecord);
-    cache_->Install(v, graph_->Degree(v));
-    return done;
-  }
-  const Cycle done = channel_.Access(t, /*burst_beats=*/1);
-  channel_.ReportUseful(graph::kBytesPerRowRecord);
-  return done;
-}
-
-// Phase kInfo: issues the row_index lookup(s) at time `t`; returns when
-// the {address, degree} data is available.
-Cycle Instance::InfoPhase(Slot* slot, Cycle t) {
-  const WalkState& state = slot->state;
-  // Neighbor Info Loader: row_index lookup (possibly cached). Node2Vec-
-  // style apps also look up the previous vertex's row entry for the
-  // membership structure (the paper's "Node2Vec has more memory accesses
-  // on the row_index array"); the two loaders issue concurrently.
-  Cycle t_info = LookupNeighborInfo(t, state.curr);
-  if (app_->needs_prev_neighbors() &&
-      state.prev != graph::kInvalidVertex) {
-    t_info = std::max(t_info, LookupNeighborInfo(t, state.prev));
-  }
-  stage_.info_cycles += t_info - t;
-  if (tracing()) {
-    trace_->Complete("row_lookup", "info", instance_id_, kInfoTrack, t,
-                     t_info);
-  }
-  return t_info;
-}
-
-// Phase kFetch: streams the adjacency through the burst engine, weight
-// updater, and sampler starting at `t`; returns the step-complete cycle
-// and the sampled vertex in *next.
-Cycle Instance::FetchPhase(Slot* slot, Cycle t, VertexId* next,
-                           AccelRunStats* stats) {
-  const WalkState& state = slot->state;
+StepTiming Instance::FetchAndSample(const WalkState& state, Cycle now,
+                                    VertexId* next) {
   const uint32_t degree = graph_->Degree(state.curr);
-  const uint32_t k = config_.sampler_parallelism;
-
-  // Re-fetch N(prev) when it exceeded the on-chip membership buffer.
-  Cycle t_fetch = t;
-  if (app_->needs_prev_neighbors() &&
-      state.prev != graph::kInvalidVertex) {
-    const uint32_t prev_degree = graph_->Degree(state.prev);
-    if (prev_degree > config_.prev_neighbor_buffer_edges) {
-      t_fetch = burst_.Fetch(
-          t_fetch, static_cast<uint64_t>(prev_degree) *
-                       graph::kBytesPerEdgeRecord);
-      ++stats->prev_refetches;
-    }
+  if (kind_ == FetchKind::kOneRecord) {
+    // Uniform draw: one random index, one 8-byte fetch; weights ignored.
+    *next = graph_->Neighbors(state.curr)[aux_.NextBounded(degree)];
+    return datapath_.FetchOneRecord(now);
   }
-
-  // Dynamic burst engine streams the adjacency list.
-  const uint64_t bytes =
-      static_cast<uint64_t>(degree) * graph::kBytesPerEdgeRecord;
-  const Cycle last_data = burst_.Fetch(t_fetch, bytes);
-  stats->edges_examined += degree;
-
-  // Weight Updater + WRS Sampler.
-  Cycle step_end;
-  if (config_.enable_wrs_pipeline) {
-    // Fine-grained pipeline: the sampler consumes k edges per cycle as
-    // data streams in. It is one shared k-wide unit, so concurrent steps
-    // queue for it; the step completes when the slower of memory and
-    // sampler is done.
-    const Cycle first_data = t_fetch + config_.dram.access_latency_cycles;
-    const Cycle consume_start = std::max(first_data, sampler_busy_);
-    sampler_busy_ = consume_start + CeilDiv(degree, k);
-    step_end = std::max(last_data, sampler_busy_);
-    if (tracing()) {
-      trace_->Complete("wrs_consume", "sampler", instance_id_, kWrsTrack,
-                       consume_start, sampler_busy_);
-    }
-  } else {
-    // Staged ThunderRW-style flow on chip (the WRS-disabled ablation):
-    // each stage runs to completion and the intermediate weight buffer
-    // and sampling table round-trip through DRAM (Inefficiency 1).
-    //
-    // The stage chain is serial *within* the step, but other in-flight
-    // walks still overlap with it, so the extra channel occupancy is
-    // booked at the step's start (for contention) while the stages'
-    // serial latency accumulates analytically.
-    const uint32_t bus = config_.dram.bus_bytes;
-    const uint64_t weight_bytes = static_cast<uint64_t>(degree) * 4;
-    const uint64_t table_bytes = static_cast<uint64_t>(degree) * 8;
-    const uint32_t weight_beats =
-        static_cast<uint32_t>(CeilDiv(weight_bytes, bus));
-    const uint32_t table_beats =
-        static_cast<uint32_t>(CeilDiv(table_bytes, bus));
-    const uint32_t probes = CeilLog2(static_cast<uint64_t>(degree) + 1);
-
-    Cycle booked = t_fetch;
-    booked = std::max(booked, channel_.Access(t_fetch, weight_beats));
-    booked = std::max(booked, channel_.Access(t_fetch, weight_beats));
-    booked = std::max(booked, channel_.Access(t_fetch, table_beats));
-    for (uint32_t i = 0; i < probes; ++i) {
-      booked = std::max(booked, channel_.Access(t_fetch, 1));
-    }
-
-    const auto transfer_latency = [&](uint32_t beats) {
-      return channel_.RequestOccupancy(beats) +
-             config_.dram.access_latency_cycles;
-    };
-    // weight compute + buffer write/read + table build + table write +
-    // binary-search probes, end to end.
-    const Cycle serial = last_data + degree +
-                         transfer_latency(weight_beats) +
-                         transfer_latency(weight_beats) + degree +
-                         transfer_latency(table_beats) +
-                         static_cast<Cycle>(probes) * transfer_latency(1);
-    step_end = std::max(serial, booked);
-  }
-
-  // Attribution: memory wait up to the last adjacency beat counts as
-  // fetch; whatever extends past it (WRS queueing or the staged
-  // weight/table round-trips) counts as sampler time.
-  stage_.fetch_cycles += last_data > t ? last_data - t : 0;
-  stage_.sampler_cycles += step_end > last_data ? step_end - last_data : 0;
-  stage_.pipeline_cycles += config_.pipeline_depth_cycles;
-  if (tracing()) {
-    trace_->Complete("adjacency_fetch", "burst", instance_id_, kFetchTrack,
-                     t_fetch, last_data);
-  }
-  step_end += config_.pipeline_depth_cycles;
-
+  const uint32_t prev_degree =
+      needs_prev_ && state.prev != graph::kInvalidVertex
+          ? graph_->Degree(state.prev)
+          : 0;
+  const StepTiming timing =
+      datapath_.Fetch(now, degree, prev_degree, SamplerWork::kWeighted);
   // Functional sampling (identical distribution to the hardware).
   *next = sampler_.SampleNext(*graph_, *app_, state);
-  return step_end;
+  return timing;
 }
 
 Cycle Instance::Run(std::span<const WalkQuery> queries,
@@ -315,6 +168,8 @@ Cycle Instance::Run(std::span<const WalkQuery> queries,
   std::vector<Slot> slots(num_slots);
   size_t next_query = 0;
   Cycle makespan = 0;
+  const double stop_probability =
+      app_ != nullptr ? app_->stop_probability() : 0.0;
 
   // Min-heap of (ready cycle, slot index): FCFS channel arbitration.
   using HeapItem = std::pair<Cycle, size_t>;
@@ -349,8 +204,8 @@ Cycle Instance::Run(std::span<const WalkQuery> queries,
                                    global_indices[slot.query_seq], 0);
     }
     if (tracing()) {
-      trace_->Instant("query_retire", "query", instance_id_, kRetireTrack,
-                      at);
+      trace_->Instant("query_retire", "query", instance_id_,
+                      BoardDatapath::kRetireTrack, at);
     }
     if (finished != nullptr) {
       (*finished)[global_indices[slot.query_seq]] = std::move(slot.path);
@@ -379,8 +234,12 @@ Cycle Instance::Run(std::span<const WalkQuery> queries,
         retire(slot_index, now);
         continue;
       }
-      const Cycle t_info = InfoPhase(&slot, now);
-      if (channel_.TakeAccessFailure()) {
+      const Cycle t_info =
+          datapath_
+              .Info(now, slot.state.curr,
+                    needs_prev_ ? slot.state.prev : graph::kInvalidVertex)
+              .done;
+      if (datapath_.channel().TakeAccessFailure()) {
         // Uncorrectable ECC error past the retry budget on the row
         // lookup: the walk cannot continue from corrupt state.
         ++rel_.walks_failed;
@@ -398,11 +257,11 @@ Cycle Instance::Run(std::span<const WalkQuery> queries,
 
     // Phase::kFetch.
     VertexId next = graph::kInvalidVertex;
-    const Cycle done = FetchPhase(&slot, now, &next, stats);
+    const Cycle done = FetchAndSample(slot.state, now, &next).done;
     slot.phase = Phase::kInfo;
-    if (channel_.TakeAccessFailure()) {
-      // Uncorrectable ECC error in the adjacency stream: the sampled
-      // step is based on corrupt data, so the walk fails here.
+    if (datapath_.channel().TakeAccessFailure()) {
+      // Uncorrectable ECC error in the neighbor fetch: the sampled step
+      // is based on corrupt data, so the walk fails here.
       ++rel_.walks_failed;
       retire(slot_index, done);
       continue;
@@ -419,9 +278,8 @@ Cycle Instance::Run(std::span<const WalkQuery> queries,
       ts_steps_->Increment();
     }
     slot.path.push_back(next);
-    const double stop_probability = app_->stop_probability();
     const bool stopped =
-        stop_probability > 0.0 && stop_gen_.NextUnit() < stop_probability;
+        stop_probability > 0.0 && aux_.NextUnit() < stop_probability;
     if (stopped || slot.state.step >= slot.remaining) {
       retire(slot_index, done);
     } else {
@@ -429,25 +287,7 @@ Cycle Instance::Run(std::span<const WalkQuery> queries,
     }
   }
 
-  // Fold in this instance's module statistics.
-  stats->dram.requests += channel_.stats().requests;
-  stats->dram.beats += channel_.stats().beats;
-  stats->dram.bytes += channel_.stats().bytes;
-  stats->dram.busy_cycles += channel_.stats().busy_cycles;
-  stats->dram.useful_bytes += channel_.stats().useful_bytes;
-  if (cache_ != nullptr) {
-    stats->cache.hits += cache_->stats().hits;
-    stats->cache.misses += cache_->stats().misses;
-  }
-  stats->burst.requests += burst_.stats().requests;
-  stats->burst.long_bursts += burst_.stats().long_bursts;
-  stats->burst.short_bursts += burst_.stats().short_bursts;
-  stats->burst.requested_bytes += burst_.stats().requested_bytes;
-  stats->burst.loaded_bytes += burst_.stats().loaded_bytes;
-  stats->stage.info_cycles += stage_.info_cycles;
-  stats->stage.fetch_cycles += stage_.fetch_cycles;
-  stats->stage.sampler_cycles += stage_.sampler_cycles;
-  stats->stage.pipeline_cycles += stage_.pipeline_cycles;
+  datapath_.FoldInto(stats);
   stats->reliability.Accumulate(rel_);
   if (ts_ != nullptr) {
     ts_->Finish(makespan);
@@ -468,93 +308,24 @@ void Instance::PublishMetrics(Cycle makespan, uint64_t queries,
   metrics->GetCounter("accel.instance.steps", instance)->Increment(steps);
   metrics->GetGauge("accel.instance.cycles", instance)
       ->Set(static_cast<double>(makespan));
-  if (cache_ != nullptr) {
-    metrics->GetCounter("accel.cache.hits", instance)
-        ->Increment(cache_->stats().hits);
-    metrics->GetCounter("accel.cache.misses", instance)
-        ->Increment(cache_->stats().misses);
-  }
-  metrics->GetCounter("accel.burst.requests", instance)
-      ->Increment(burst_.stats().requests);
-  metrics->GetCounter("accel.burst.long_bursts", instance)
-      ->Increment(burst_.stats().long_bursts);
-  metrics->GetCounter("accel.burst.short_bursts", instance)
-      ->Increment(burst_.stats().short_bursts);
-  metrics->GetCounter("accel.burst.loaded_bytes", instance)
-      ->Increment(burst_.stats().loaded_bytes);
-  metrics->GetCounter("accel.dram.requests", instance)
-      ->Increment(channel_.stats().requests);
-  metrics->GetCounter("accel.dram.bytes", instance)
-      ->Increment(channel_.stats().bytes);
-  metrics->GetCounter("accel.dram.busy_cycles", instance)
-      ->Increment(channel_.stats().busy_cycles);
-  const struct {
-    const char* stage;
-    uint64_t cycles;
-  } stages[] = {{"info", stage_.info_cycles},
-                {"fetch", stage_.fetch_cycles},
-                {"sampler", stage_.sampler_cycles},
-                {"pipeline", stage_.pipeline_cycles}};
-  for (const auto& [stage, cycles] : stages) {
-    metrics
-        ->GetCounter("accel.stage.cycles",
-                     {{"instance", std::to_string(instance_id_)},
-                      {"stage", stage}})
-        ->Increment(cycles);
-  }
+  datapath_.PublishMetrics(metrics, instance_id_);
   if (rel_.Any()) {
     reliability::PublishReliabilityMetrics(metrics, rel_, instance);
   }
 }
 
-}  // namespace
-
-CycleEngine::CycleEngine(const graph::CsrGraph* graph,
-                         const apps::WalkApp* app,
-                         const AcceleratorConfig& config)
-    : graph_(graph), app_(app), config_(config) {
-  LIGHTRW_CHECK(graph != nullptr);
-  LIGHTRW_CHECK(app != nullptr);
-  LIGHTRW_CHECK(config.sampler_parallelism >= 1);
-  LIGHTRW_CHECK(config.num_instances >= 1);
-}
-
-namespace {
-
-// Folds one instance's counters into the run total. Called in instance
-// order after the parallel barrier so the merged result (including the
-// floating-point latency samples) is independent of thread count.
-void AccumulateStats(const AccelRunStats& part, AccelRunStats* total) {
-  total->queries += part.queries;
-  total->steps += part.steps;
-  total->edges_examined += part.edges_examined;
-  total->dram.requests += part.dram.requests;
-  total->dram.beats += part.dram.beats;
-  total->dram.bytes += part.dram.bytes;
-  total->dram.busy_cycles += part.dram.busy_cycles;
-  total->dram.useful_bytes += part.dram.useful_bytes;
-  total->cache.hits += part.cache.hits;
-  total->cache.misses += part.cache.misses;
-  total->burst.requests += part.burst.requests;
-  total->burst.long_bursts += part.burst.long_bursts;
-  total->burst.short_bursts += part.burst.short_bursts;
-  total->burst.requested_bytes += part.burst.requested_bytes;
-  total->burst.loaded_bytes += part.burst.loaded_bytes;
-  total->stage.info_cycles += part.stage.info_cycles;
-  total->stage.fetch_cycles += part.stage.fetch_cycles;
-  total->stage.sampler_cycles += part.stage.sampler_cycles;
-  total->stage.pipeline_cycles += part.stage.pipeline_cycles;
-  total->prev_refetches += part.prev_refetches;
-  total->reliability.Accumulate(part.reliability);
-  total->query_latency_cycles.Merge(part.query_latency_cycles);
-}
-
-}  // namespace
-
-AccelRunStats CycleEngine::Run(std::span<const WalkQuery> queries,
-                               WalkOutput* output) {
-  AccelRunStats stats;
-  const uint32_t n = config_.num_instances;
+// Runs `queries` on config.num_instances independent instances of one
+// fetch kind. Each instance is a shard: private datapath models, private
+// RNG streams, a private stats slot, and (when tracing) a private trace
+// shard. Workers write only their own slots, so the run is bit-identical
+// for every thread count; the metrics registry is shared but its
+// counters commute and its exposition is key-sorted.
+AccelRunStats RunInstances(const graph::CsrGraph* graph,
+                           const apps::WalkApp* app,
+                           const AcceleratorConfig& config, FetchKind kind,
+                           std::span<const WalkQuery> queries,
+                           WalkOutput* output) {
+  const uint32_t n = config.num_instances;
 
   // Round-robin query distribution across instances (paper §6.1.5:
   // "we evenly distribute random walk queries to all instances").
@@ -570,24 +341,19 @@ AccelRunStats CycleEngine::Run(std::span<const WalkQuery> queries,
     finished.resize(queries.size());
   }
 
-  // Each instance is an independent shard: private datapath models,
-  // private RNG streams, a private stats slot, and (when tracing) a
-  // private trace shard. Workers write only their own slots, so the run
-  // is bit-identical for every thread count; the metrics registry is
-  // shared but its counters commute and its exposition is key-sorted.
-  const uint32_t threads = SimThreadPool::ResolveThreads(config_.num_threads);
+  const uint32_t threads = SimThreadPool::ResolveThreads(config.num_threads);
   std::vector<AccelRunStats> instance_stats(n);
   std::vector<Cycle> instance_makespan(n, 0);
   std::vector<std::unique_ptr<obs::TraceRecorder>> trace_shards(n);
   std::vector<std::unique_ptr<obs::TimeSeriesRecorder>> ts_shards(n);
   SimThreadPool::ParallelFor(threads, n, [&](size_t i) {
-    obs::TraceRecorder* trace = config_.trace;
+    obs::TraceRecorder* trace = config.trace;
     if (trace != nullptr && n > 1) {
       trace_shards[i] =
           std::make_unique<obs::TraceRecorder>(trace->config());
       trace = trace_shards[i].get();
     }
-    obs::TimeSeriesRecorder* ts = config_.timeseries;
+    obs::TimeSeriesRecorder* ts = config.timeseries;
     if (ts != nullptr && n > 1) {
       // Per-instance recorder shards on the shared scrape clock, merged
       // per window index in instance order after the barrier.
@@ -595,23 +361,30 @@ AccelRunStats CycleEngine::Run(std::span<const WalkQuery> queries,
           std::make_unique<obs::TimeSeriesRecorder>(ts->config());
       ts = ts_shards[i].get();
     }
-    Instance instance(graph_, app_, config_, static_cast<uint32_t>(i),
-                      config_.seed + 0x1000003ULL * i, trace, ts);
+    // Seeds per engine: the WRS lanes and stop coins of CycleEngine, the
+    // uniform pick stream of UniformCycleEngine.
+    const uint64_t seed = config.seed + 0x1000003ULL * i;
+    const uint64_t aux_seed = kind == FetchKind::kAdjacency
+                                  ? seed ^ 0x5709ULL
+                                  : config.seed + 0x7001ULL * (i + 1);
+    Instance instance(graph, app, config, kind, static_cast<uint32_t>(i),
+                      seed, aux_seed, trace, ts);
     instance_makespan[i] =
         instance.Run(shares[i], share_indices[i],
                      output != nullptr ? &finished : nullptr,
                      &instance_stats[i]);
   });
 
+  AccelRunStats stats;
   Cycle makespan = 0;
   for (uint32_t i = 0; i < n; ++i) {
-    AccumulateStats(instance_stats[i], &stats);
+    stats.Accumulate(instance_stats[i]);
     makespan = std::max(makespan, instance_makespan[i]);
     if (trace_shards[i] != nullptr) {
-      config_.trace->MergeFrom(trace_shards[i].get());
+      config.trace->MergeFrom(trace_shards[i].get());
     }
     if (ts_shards[i] != nullptr) {
-      config_.timeseries->MergeFrom(ts_shards[i].get());
+      config.timeseries->MergeFrom(ts_shards[i].get());
     }
   }
   if (output != nullptr) {
@@ -623,8 +396,52 @@ AccelRunStats CycleEngine::Run(std::span<const WalkQuery> queries,
     }
   }
   stats.cycles = makespan;
-  stats.seconds = static_cast<double>(makespan) / config_.dram.clock_hz;
+  stats.seconds = static_cast<double>(makespan) / config.dram.clock_hz;
   return stats;
+}
+
+}  // namespace
+
+void AccelRunStats::Accumulate(const AccelRunStats& part) {
+  queries += part.queries;
+  steps += part.steps;
+  edges_examined += part.edges_examined;
+  dram.Accumulate(part.dram);
+  cache.Accumulate(part.cache);
+  burst.Accumulate(part.burst);
+  stage.Accumulate(part.stage);
+  prev_refetches += part.prev_refetches;
+  reliability.Accumulate(part.reliability);
+  query_latency_cycles.Merge(part.query_latency_cycles);
+}
+
+CycleEngine::CycleEngine(const graph::CsrGraph* graph,
+                         const apps::WalkApp* app,
+                         const AcceleratorConfig& config)
+    : graph_(graph), app_(app), config_(config) {
+  LIGHTRW_CHECK(graph != nullptr);
+  LIGHTRW_CHECK(app != nullptr);
+  LIGHTRW_CHECK(config.sampler_parallelism >= 1);
+  LIGHTRW_CHECK(config.num_instances >= 1);
+}
+
+AccelRunStats CycleEngine::Run(std::span<const WalkQuery> queries,
+                               WalkOutput* output) {
+  return RunInstances(graph_, app_, config_, FetchKind::kAdjacency, queries,
+                      output);
+}
+
+UniformCycleEngine::UniformCycleEngine(const graph::CsrGraph* graph,
+                                       const AcceleratorConfig& config)
+    : graph_(graph), config_(config) {
+  LIGHTRW_CHECK(graph != nullptr);
+  LIGHTRW_CHECK(config.num_instances >= 1);
+}
+
+AccelRunStats UniformCycleEngine::Run(std::span<const WalkQuery> queries,
+                                      WalkOutput* output) {
+  return RunInstances(graph_, /*app=*/nullptr, config_,
+                      FetchKind::kOneRecord, queries, output);
 }
 
 }  // namespace lightrw::core

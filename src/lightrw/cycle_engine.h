@@ -2,11 +2,12 @@
 //
 // This is the stand-in for the Alveo U250 hardware: a deterministic
 // event-driven simulation of the accelerator of paper Fig. 3. Each
-// instance owns one DRAM channel (hwsim::DramChannel), a row-index cache
-// (vertex_cache.h), a dynamic burst engine (burst_engine.h), and a k-lane
-// WRS sampling pipeline. Queries are kept in flight `inflight_queries` at
-// a time so DRAM latency of one walk overlaps with the compute of others,
-// and every DRAM byte, cache probe, and burst command is counted.
+// instance drives one BoardDatapath (board_datapath.h): a DRAM channel,
+// a row-index cache, a dynamic burst engine, and a k-lane WRS sampling
+// pipeline — see DESIGN.md "Board datapath". Queries are kept in flight
+// `inflight_queries` at a time so DRAM latency of one walk overlaps with
+// the compute of others, and every DRAM byte, cache probe, and burst
+// command is counted.
 //
 // The engine simultaneously produces real walks (same sampling semantics
 // as FunctionalEngine) and the simulated kernel time in cycles; simulated
@@ -23,6 +24,7 @@
 #include "common/histogram.h"
 #include "graph/csr.h"
 #include "hwsim/dram.h"
+#include "lightrw/board_datapath.h"
 #include "lightrw/burst_engine.h"
 #include "lightrw/config.h"
 #include "lightrw/vertex_cache.h"
@@ -31,26 +33,6 @@ namespace lightrw::core {
 
 using apps::WalkQuery;
 using baseline::WalkOutput;
-
-// Cycle attribution for one engine run: where each in-flight step's
-// simulated time went, summed over all slots and instances. These are
-// slot-cycles (many walks are in flight at once), so the total can far
-// exceed the makespan; the *shares* say which stage dominates.
-struct StageCycleStats {
-  uint64_t info_cycles = 0;      // row-index lookup: cache probe + DRAM
-  uint64_t fetch_cycles = 0;     // adjacency stream through the burst engine
-  uint64_t sampler_cycles = 0;   // sampling tail after the last data beat
-  uint64_t pipeline_cycles = 0;  // fixed module-pipeline traversal latency
-
-  uint64_t Total() const {
-    return info_cycles + fetch_cycles + sampler_cycles + pipeline_cycles;
-  }
-  double Share(uint64_t part) const {
-    const uint64_t total = Total();
-    return total == 0 ? 0.0
-                      : static_cast<double>(part) / static_cast<double>(total);
-  }
-};
 
 struct AccelRunStats {
   // Simulated kernel makespan: max over instances, in kernel cycles and
@@ -83,6 +65,11 @@ struct AccelRunStats {
   double EffectiveBandwidth() const {
     return seconds > 0.0 ? static_cast<double>(dram.bytes) / seconds : 0.0;
   }
+
+  // Folds an instance's counters into this total; the makespan fields are
+  // the caller's. Instances must be folded in a fixed order so the merged
+  // latency samples are independent of thread count.
+  void Accumulate(const AccelRunStats& part);
 };
 
 // The simulated accelerator. Queries are distributed round-robin over the

@@ -9,6 +9,11 @@
 //
 // Used by the ext_uniform_baseline bench to reproduce the paper's
 // qualitative comparison quantitatively.
+//
+// The engine runs on CycleEngine's instance driver (cycle_engine.cc) with
+// its BoardDatapath in FetchKind::kOneRecord mode: a row lookup through
+// the cache, then one 8-byte neighbor access and no sampler stage. See
+// DESIGN.md "Board datapath".
 
 #ifndef LIGHTRW_LIGHTRW_UNIFORM_ENGINE_H_
 #define LIGHTRW_LIGHTRW_UNIFORM_ENGINE_H_
@@ -24,8 +29,9 @@
 namespace lightrw::core {
 
 // Cycle model + functional sampling for uniform static walks. Reuses the
-// AcceleratorConfig (cache, DRAM, instances); burst strategy and sampler
-// lanes are irrelevant (one 8-byte fetch per step).
+// AcceleratorConfig (cache, DRAM, instances, threads, latency collection,
+// sinks); burst strategy and sampler lanes are irrelevant (one 8-byte
+// fetch per step).
 class UniformCycleEngine {
  public:
   // `graph` must outlive the engine. Edge weights are ignored: every

@@ -28,6 +28,10 @@ struct CacheStats {
     return accesses() == 0 ? 0.0
                            : static_cast<double>(misses) / accesses();
   }
+  void Accumulate(const CacheStats& part) {
+    hits += part.hits;
+    misses += part.misses;
+  }
 };
 
 // Common interface of the row caches. Probe() then, on a miss, Install()

@@ -287,6 +287,34 @@ TEST(DistributedEngineTest, ReplicatedModeNeverMigrates) {
   EXPECT_EQ(stats.per_board_graph_bytes, g.ModeledByteSize());
 }
 
+TEST(DistributedEngineTest, StagedWrsAblationCostsCyclesNotPaths) {
+  // board.enable_wrs_pipeline = false models the staged sampler on every
+  // board: the weight buffer and sampling table round-trip through DRAM,
+  // so the run takes longer, but the walks are keyed per ticket and stay
+  // identical.
+  const CsrGraph g = TestGraph();
+  StaticWalkApp app;
+  const Partition p = MakePartition(g, 4, PartitionStrategy::kHash);
+  DistributedConfig pipelined = TestConfig();
+  pipelined.replicate_graph = true;
+  DistributedConfig staged = pipelined;
+  staged.board.enable_wrs_pipeline = false;
+  const auto queries = apps::MakeVertexQueries(g, 10, 3, 300);
+  baseline::WalkOutput pipelined_paths;
+  baseline::WalkOutput staged_paths;
+  const auto pipelined_stats = DistributedEngine(&g, &app, &p, pipelined)
+                                   .Run(queries, &pipelined_paths)
+                                   .value();
+  const auto staged_stats = DistributedEngine(&g, &app, &p, staged)
+                                .Run(queries, &staged_paths)
+                                .value();
+  EXPECT_GT(staged_stats.cycles, pipelined_stats.cycles);
+  EXPECT_GT(staged_stats.dram.requests, pipelined_stats.dram.requests);
+  EXPECT_EQ(staged_stats.steps, pipelined_stats.steps);
+  EXPECT_EQ(staged_paths.vertices, pipelined_paths.vertices);
+  EXPECT_EQ(staged_paths.offsets, pipelined_paths.offsets);
+}
+
 TEST(DistributedEngineTest, PartitionedModeNeedsLessMemoryPerBoard) {
   const CsrGraph g = TestGraph();
   StaticWalkApp app;

@@ -23,6 +23,7 @@
 #include "graph/generators.h"
 #include "lightrw/config_validation.h"
 #include "lightrw/cycle_engine.h"
+#include "lightrw/uniform_engine.h"
 #include "obs/span.h"
 #include "reliability/membership.h"
 #include "service/walk_service.h"
@@ -186,6 +187,34 @@ TEST(ParallelCycleEngineTest, HoldsWithEarlyStoppingApp) {
   const CycleRun serial = RunCycle(g, app, 1, {});
   for (const uint32_t threads : kThreadSweep) {
     const CycleRun parallel = RunCycle(g, app, threads, {});
+    ExpectSameCorpus(serial.corpus, parallel.corpus);
+    ExpectSameCycleStats(serial.stats, parallel.stats);
+  }
+}
+
+// --- UniformCycleEngine: the same instance shards, one-record fetches -----
+
+CycleRun RunUniform(const CsrGraph& g, uint32_t threads) {
+  core::AcceleratorConfig config;
+  config.num_instances = 4;
+  config.seed = 31;
+  config.num_threads = threads;
+  config.collect_latency = true;
+  const auto queries = apps::MakeVertexQueries(g, /*length=*/16,
+                                               /*seed=*/5, /*limit=*/600);
+  core::UniformCycleEngine engine(&g, config);
+  CycleRun run;
+  run.stats = engine.Run(queries, &run.corpus);
+  return run;
+}
+
+TEST(ParallelUniformEngineTest, ThreadCountDoesNotChangeResults) {
+  const CsrGraph g = TestGraph();
+  const CycleRun serial = RunUniform(g, 1);
+  EXPECT_GT(serial.stats.steps, 0u);
+  EXPECT_EQ(serial.stats.query_latency_cycles.count(), serial.stats.queries);
+  for (const uint32_t threads : kThreadSweep) {
+    const CycleRun parallel = RunUniform(g, threads);
     ExpectSameCorpus(serial.corpus, parallel.corpus);
     ExpectSameCycleStats(serial.stats, parallel.stats);
   }

@@ -92,6 +92,18 @@ TEST(UniformCycleEngineTest, FasterThanGeneralEngineOnUniformWalks) {
   EXPECT_LT(uniform_stats.cycles, general_stats.cycles);
 }
 
+TEST(UniformCycleEngineTest, CollectsLatencyPerQuery) {
+  const CsrGraph g = graph::MakeDatasetStandIn(graph::Dataset::kYoutube,
+                                               /*scale_shift=*/12, 5);
+  AcceleratorConfig config = TestConfig();
+  config.num_instances = 2;
+  config.collect_latency = true;
+  const auto queries = apps::MakeVertexQueries(g, 5, 3, 100);
+  const auto stats = UniformCycleEngine(&g, config).Run(queries);
+  EXPECT_EQ(stats.query_latency_cycles.count(), queries.size());
+  EXPECT_GT(stats.query_latency_cycles.Mean(), 0.0);
+}
+
 TEST(UniformCycleEngineTest, Deterministic) {
   const CsrGraph g = graph::MakeDatasetStandIn(graph::Dataset::kYoutube,
                                                /*scale_shift=*/12, 5);
