@@ -110,9 +110,9 @@ class BoardDatapath {
   void AttachTrace(obs::TraceRecorder* trace, uint32_t pid);
 
   // Row lookup of `curr` starting at `t`. A valid `prev` (apps that need
-  // the previous vertex's neighbors) is looked up concurrently.
-  StepTiming Info(hwsim::Cycle t, graph::VertexId curr,
-                  graph::VertexId prev = graph::kInvalidVertex);
+  // the previous vertex's neighbors) is looked up concurrently; pass
+  // graph::kInvalidVertex otherwise.
+  StepTiming Info(hwsim::Cycle t, graph::VertexId curr, graph::VertexId prev);
   // Adjacency step of a kAdjacency datapath starting at `t`: re-fetches
   // N(prev) when `prev_degree` exceeds the on-chip buffer (pass 0 when no
   // previous adjacency is needed), streams the `degree` neighbors through
@@ -125,7 +125,6 @@ class BoardDatapath {
 
   hwsim::DramChannel& channel() { return channel_; }
   const hwsim::DramChannel& channel() const { return channel_; }
-  const StageCycleStats& stage() const { return stage_; }
 
   // Adds the channel, cache, burst, stage, edge and re-fetch counters to
   // `stats` (the run-level fields are the driver's).

@@ -22,6 +22,13 @@ using apps::WalkState;
 using graph::VertexId;
 using hwsim::Cycle;
 
+// WRS lanes of an instance. A one-record instance samples without them;
+// one idle stream keeps its sampler members valid whatever
+// config.sampler_parallelism holds.
+uint32_t SamplerLanes(const AcceleratorConfig& config, FetchKind kind) {
+  return kind == FetchKind::kAdjacency ? config.sampler_parallelism : 1;
+}
+
 // One accelerator instance bound to one DRAM channel (paper Fig. 9): the
 // slot/heap driver of both cycle engines over a BoardDatapath. A
 // kAdjacency instance samples with the k-lane StepSampler and draws stop
@@ -45,8 +52,8 @@ class Instance {
         trace_(trace),
         ts_(ts),
         datapath_(graph, config, kind),
-        rng_(config.sampler_parallelism, seed),
-        sampler_(config.sampler_parallelism, &rng_),
+        rng_(SamplerLanes(config, kind), seed),
+        sampler_(SamplerLanes(config, kind), &rng_),
         aux_(aux_seed) {
     LIGHTRW_CHECK((app == nullptr) == (kind == FetchKind::kOneRecord));
     if (config.faults.enabled) {
@@ -99,10 +106,10 @@ class Instance {
     bool active = false;
   };
 
-  // Runs the fetch phase of `state`'s step at `now` and samples the next
-  // vertex into *next (kInvalidVertex if no neighbor is sampleable).
-  StepTiming FetchAndSample(const WalkState& state, Cycle now,
-                            VertexId* next);
+  // Runs the fetch phase of `state`'s step at `now`, samples the next
+  // vertex into *next (kInvalidVertex if no neighbor is sampleable), and
+  // returns the step-complete cycle.
+  Cycle FetchAndSample(const WalkState& state, Cycle now, VertexId* next);
 
   bool tracing() const { return trace_ != nullptr && trace_->accepting(); }
 
@@ -134,23 +141,23 @@ class Instance {
   reliability::ReliabilityStats rel_;
 };
 
-StepTiming Instance::FetchAndSample(const WalkState& state, Cycle now,
-                                    VertexId* next) {
+Cycle Instance::FetchAndSample(const WalkState& state, Cycle now,
+                               VertexId* next) {
   const uint32_t degree = graph_->Degree(state.curr);
   if (kind_ == FetchKind::kOneRecord) {
     // Uniform draw: one random index, one 8-byte fetch; weights ignored.
     *next = graph_->Neighbors(state.curr)[aux_.NextBounded(degree)];
-    return datapath_.FetchOneRecord(now);
+    return datapath_.FetchOneRecord(now).done;
   }
   const uint32_t prev_degree =
       needs_prev_ && state.prev != graph::kInvalidVertex
           ? graph_->Degree(state.prev)
           : 0;
-  const StepTiming timing =
-      datapath_.Fetch(now, degree, prev_degree, SamplerWork::kWeighted);
+  const Cycle done =
+      datapath_.Fetch(now, degree, prev_degree, SamplerWork::kWeighted).done;
   // Functional sampling (identical distribution to the hardware).
   *next = sampler_.SampleNext(*graph_, *app_, state);
-  return timing;
+  return done;
 }
 
 Cycle Instance::Run(std::span<const WalkQuery> queries,
@@ -257,7 +264,7 @@ Cycle Instance::Run(std::span<const WalkQuery> queries,
 
     // Phase::kFetch.
     VertexId next = graph::kInvalidVertex;
-    const Cycle done = FetchAndSample(slot.state, now, &next).done;
+    const Cycle done = FetchAndSample(slot.state, now, &next);
     slot.phase = Phase::kInfo;
     if (datapath_.channel().TakeAccessFailure()) {
       // Uncorrectable ECC error in the neighbor fetch: the sampled step

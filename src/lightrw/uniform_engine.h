@@ -29,9 +29,9 @@
 namespace lightrw::core {
 
 // Cycle model + functional sampling for uniform static walks. Reuses the
-// AcceleratorConfig (cache, DRAM, instances, threads, latency collection,
-// sinks); burst strategy and sampler lanes are irrelevant (one 8-byte
-// fetch per step).
+// AcceleratorConfig (cache, DRAM, instances, threads, DRAM faults,
+// latency collection, sinks); burst strategy and sampler lanes are
+// irrelevant (one 8-byte fetch per step).
 class UniformCycleEngine {
  public:
   // `graph` must outlive the engine. Edge weights are ignored: every

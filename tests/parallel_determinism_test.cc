@@ -132,6 +132,20 @@ CycleRun RunCycle(const CsrGraph& g, const apps::WalkApp& app,
   return run;
 }
 
+// UniformCycleEngine on the same instance shards.
+CycleRun RunUniform(const CsrGraph& g, uint32_t threads) {
+  core::AcceleratorConfig config;
+  config.num_instances = 4;
+  config.seed = 31;
+  config.num_threads = threads;
+  config.collect_latency = true;
+  const auto queries = apps::MakeVertexQueries(g, /*length=*/16,
+                                               /*seed=*/5, /*limit=*/600);
+  CycleRun run;
+  run.stats = core::UniformCycleEngine(&g, config).Run(queries, &run.corpus);
+  return run;
+}
+
 void ExpectSameCycleStats(const core::AccelRunStats& a,
                           const core::AccelRunStats& b) {
   EXPECT_EQ(a.cycles, b.cycles);
@@ -156,11 +170,17 @@ TEST(ParallelCycleEngineTest, ThreadCountDoesNotChangeResults) {
   const CsrGraph g = TestGraph();
   const StaticWalkApp app;
   const CycleRun serial = RunCycle(g, app, 1, {});
+  const CycleRun uniform_serial = RunUniform(g, 1);
   EXPECT_GT(serial.stats.steps, 0u);
+  EXPECT_EQ(uniform_serial.stats.query_latency_cycles.count(),
+            uniform_serial.stats.queries);
   for (const uint32_t threads : kThreadSweep) {
     const CycleRun parallel = RunCycle(g, app, threads, {});
     ExpectSameCorpus(serial.corpus, parallel.corpus);
     ExpectSameCycleStats(serial.stats, parallel.stats);
+    const CycleRun uniform_parallel = RunUniform(g, threads);
+    ExpectSameCorpus(uniform_serial.corpus, uniform_parallel.corpus);
+    ExpectSameCycleStats(uniform_serial.stats, uniform_parallel.stats);
   }
 }
 
@@ -187,34 +207,6 @@ TEST(ParallelCycleEngineTest, HoldsWithEarlyStoppingApp) {
   const CycleRun serial = RunCycle(g, app, 1, {});
   for (const uint32_t threads : kThreadSweep) {
     const CycleRun parallel = RunCycle(g, app, threads, {});
-    ExpectSameCorpus(serial.corpus, parallel.corpus);
-    ExpectSameCycleStats(serial.stats, parallel.stats);
-  }
-}
-
-// --- UniformCycleEngine: the same instance shards, one-record fetches -----
-
-CycleRun RunUniform(const CsrGraph& g, uint32_t threads) {
-  core::AcceleratorConfig config;
-  config.num_instances = 4;
-  config.seed = 31;
-  config.num_threads = threads;
-  config.collect_latency = true;
-  const auto queries = apps::MakeVertexQueries(g, /*length=*/16,
-                                               /*seed=*/5, /*limit=*/600);
-  core::UniformCycleEngine engine(&g, config);
-  CycleRun run;
-  run.stats = engine.Run(queries, &run.corpus);
-  return run;
-}
-
-TEST(ParallelUniformEngineTest, ThreadCountDoesNotChangeResults) {
-  const CsrGraph g = TestGraph();
-  const CycleRun serial = RunUniform(g, 1);
-  EXPECT_GT(serial.stats.steps, 0u);
-  EXPECT_EQ(serial.stats.query_latency_cycles.count(), serial.stats.queries);
-  for (const uint32_t threads : kThreadSweep) {
-    const CycleRun parallel = RunUniform(g, threads);
     ExpectSameCorpus(serial.corpus, parallel.corpus);
     ExpectSameCycleStats(serial.stats, parallel.stats);
   }
