@@ -29,6 +29,8 @@ namespace lightrw::bench {
 // Paper parameter settings (§6.1.4).
 inline constexpr uint32_t kMetaPathLength = 5;
 inline constexpr uint32_t kNode2VecLength = 80;
+// Walk length of the engine-speed workloads that are not MetaPath.
+inline constexpr uint32_t kEngineWalkLength = 80;
 inline constexpr double kNode2VecP = 2.0;
 inline constexpr double kNode2VecQ = 0.5;
 inline constexpr uint64_t kBenchSeed = 20230618;

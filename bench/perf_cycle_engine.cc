@@ -1,7 +1,8 @@
-// Host-throughput workload: the single-board CycleEngine sweep. Two
-// workloads bracket the per-step cost range — MetaPath (dynamic weights,
-// relation filtering) and DeepWalk (static weights, the fast path) —
-// both on the LiveJournal stand-in with the paper's best accelerator
+// Host-throughput workload: the single-board CycleEngine sweep. Three
+// workloads cover the weight updater's paths — MetaPath (dynamic weights,
+// relation filtering), Node2Vec (second-order weights, a merge against
+// N(prev) per chunk) and DeepWalk (static weights, the fast path) — all
+// on the LiveJournal stand-in with the paper's best accelerator
 // configuration. Simulated metrics are untouched; only the host wall
 // clock is measured.
 
@@ -38,6 +39,7 @@ perf::WorkloadResult MeasureEngine(const std::string& name,
 int Main() {
   const graph::CsrGraph& g = StandIn(graph::Dataset::kLiveJournal);
   const auto metapath = MakeMetaPath(g);
+  const auto node2vec = MakeNode2Vec();
   const apps::StaticWalkApp deepwalk;
 
   perf::MonotonicClock clock;
@@ -45,15 +47,17 @@ int Main() {
   const perf::WorkloadResult mp =
       MeasureEngine("metapath", repeat, &clock, g, *metapath,
                     kMetaPathLength);
+  const perf::WorkloadResult n2v =
+      MeasureEngine("node2vec", repeat, &clock, g, *node2vec, kNode2VecLength);
   const perf::WorkloadResult dw =
-      MeasureEngine("deepwalk", repeat, &clock, g, deepwalk, kNode2VecLength);
+      MeasureEngine("deepwalk", repeat, &clock, g, deepwalk, kEngineWalkLength);
 
-  for (const perf::WorkloadResult* r : {&mp, &dw}) {
+  for (const perf::WorkloadResult* r : {&mp, &n2v, &dw}) {
     std::printf("perf_cycle_engine: %-8s steps/s median %.1f (mad %.1f)\n",
                 r->name.c_str(), r->steps_per_sec.median,
                 r->steps_per_sec.mad);
   }
-  return perf::WritePerfJson("perf_cycle_engine", {mp, dw}) ? 0 : 1;
+  return perf::WritePerfJson("perf_cycle_engine", {mp, n2v, dw}) ? 0 : 1;
 }
 
 }  // namespace

@@ -3,11 +3,48 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 
 #include "common/check.h"
 #include "rng/rng.h"
 
 namespace lightrw::apps {
+
+namespace {
+
+// First position in [it, end) whose value is >= v, for sorted input.
+// Gallops forward from `it` (1, 2, 4, ... entries) and then binary
+// searches the last stride, so a cursor that moves by a few entries per
+// call costs O(1) and a long skip over a hub's adjacency costs O(log gap).
+const VertexId* AdvanceTo(const VertexId* it, const VertexId* end,
+                          VertexId v) {
+  if (it == end || *it >= v) {
+    return it;
+  }
+  // Invariant: *it < v.
+  for (ptrdiff_t stride = 1;; stride *= 2) {
+    if (stride >= end - it) {
+      return std::lower_bound(it + 1, end, v);
+    }
+    if (it[stride] >= v) {
+      return std::lower_bound(it + 1, it + stride, v);
+    }
+    it += stride;
+  }
+}
+
+}  // namespace
+
+void WalkApp::DynamicWeights(const CsrGraph& graph, const WalkState& state,
+                             uint32_t offset, std::span<Weight> out) const {
+  const auto neighbors = graph.Neighbors(state.curr);
+  const auto weights = graph.NeighborWeights(state.curr);
+  const auto relations = graph.NeighborRelations(state.curr);
+  for (size_t j = 0; j < out.size(); ++j) {
+    out[j] = DynamicWeight(graph, state, neighbors[offset + j],
+                           weights[offset + j], relations[offset + j]);
+  }
+}
 
 MetaPathApp::MetaPathApp(std::vector<Relation> relation_path)
     : path_(std::move(relation_path)) {
@@ -22,6 +59,22 @@ Weight MetaPathApp::DynamicWeight(const CsrGraph& /*graph*/,
     return 0;  // beyond the relation path nothing is sampleable
   }
   return relation == path_[state.step] ? static_weight : 0;
+}
+
+void MetaPathApp::DynamicWeights(const CsrGraph& graph, const WalkState& state,
+                                 uint32_t offset,
+                                 std::span<Weight> out) const {
+  if (state.step >= path_.size()) {
+    std::fill(out.begin(), out.end(), Weight{0});
+    return;
+  }
+  const Relation wanted = path_[state.step];
+  const Weight* weights = graph.NeighborWeights(state.curr).data() + offset;
+  const Relation* relations =
+      graph.NeighborRelations(state.curr).data() + offset;
+  for (size_t j = 0; j < out.size(); ++j) {
+    out[j] = relations[j] == wanted ? weights[j] : 0;
+  }
 }
 
 Node2VecApp::Node2VecApp(double p, double q) : p_(p), q_(q) {
@@ -48,6 +101,39 @@ Weight Node2VecApp::DynamicWeight(const CsrGraph& graph,
     return static_weight * kWeightScale;  // Eq. (2b): w*
   }
   return static_weight * distant_scale_;  // Eq. (2c): w*/q
+}
+
+void Node2VecApp::DynamicWeights(const CsrGraph& graph, const WalkState& state,
+                                 uint32_t offset,
+                                 std::span<Weight> out) const {
+  const VertexId* dsts = graph.Neighbors(state.curr).data() + offset;
+  const Weight* weights = graph.NeighborWeights(state.curr).data() + offset;
+  const size_t n = out.size();
+  if (state.prev == graph::kInvalidVertex || n == 0) {
+    for (size_t j = 0; j < n; ++j) {
+      out[j] = weights[j] * kWeightScale;
+    }
+    return;
+  }
+  // N(curr) and N(prev) are both sorted by destination, so one cursor
+  // into N(prev), placed once per chunk and only ever moved forward,
+  // answers every HasEdge(prev, dst) of the chunk in order.
+  const auto prev_neighbors = graph.Neighbors(state.prev);
+  const VertexId* const prev_end =
+      prev_neighbors.data() + prev_neighbors.size();
+  const VertexId* cursor =
+      std::lower_bound(prev_neighbors.data(), prev_end, dsts[0]);
+  for (size_t j = 0; j < n; ++j) {
+    const VertexId dst = dsts[j];
+    cursor = AdvanceTo(cursor, prev_end, dst);
+    Weight scale = distant_scale_;  // Eq. (2c): w*/q
+    if (dst == state.prev) {
+      scale = return_scale_;  // Eq. (2a): w*/p
+    } else if (cursor != prev_end && *cursor == dst) {
+      scale = kWeightScale;  // Eq. (2b): w*
+    }
+    out[j] = weights[j] * scale;
+  }
 }
 
 PprApp::PprApp(double alpha) : alpha_(alpha) {

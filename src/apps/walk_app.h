@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -50,6 +51,15 @@ class WalkApp {
                                VertexId dst, Weight static_weight,
                                Relation relation) const = 0;
 
+  // Batch form of DynamicWeight, the weight updater's unit of work: fills
+  // out[j] with exactly DynamicWeight(graph, state, dst, w, r) for
+  // neighbor `offset + j` of state.curr, for every j < out.size(). The
+  // range must lie inside state.curr's adjacency. The default runs the
+  // per-edge loop; overrides compute the same values with no virtual
+  // call per edge.
+  virtual void DynamicWeights(const CsrGraph& graph, const WalkState& state,
+                              uint32_t offset, std::span<Weight> out) const;
+
   // True if the weight function reads the previous vertex's adjacency list
   // (Node2Vec does). The memory models charge the extra traffic and the
   // engines provide the membership structure.
@@ -84,6 +94,9 @@ class MetaPathApp : public WalkApp {
                        VertexId dst, Weight static_weight,
                        Relation relation) const override;
 
+  void DynamicWeights(const CsrGraph& graph, const WalkState& state,
+                      uint32_t offset, std::span<Weight> out) const override;
+
   const std::vector<Relation>& relation_path() const { return path_; }
 
  private:
@@ -107,6 +120,11 @@ class Node2VecApp : public WalkApp {
   Weight DynamicWeight(const CsrGraph& graph, const WalkState& state,
                        VertexId dst, Weight static_weight,
                        Relation relation) const override;
+
+  // Streams the chunk past N(prev) with one forward cursor instead of a
+  // HasEdge search per edge; both lists are sorted by destination.
+  void DynamicWeights(const CsrGraph& graph, const WalkState& state,
+                      uint32_t offset, std::span<Weight> out) const override;
 
   bool needs_prev_neighbors() const override { return true; }
 

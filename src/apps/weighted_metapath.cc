@@ -1,5 +1,7 @@
 #include "apps/weighted_metapath.h"
 
+#include <algorithm>
+
 #include "common/check.h"
 
 namespace lightrw::apps {
@@ -30,6 +32,23 @@ Weight WeightedMetaPathApp::DynamicWeight(const CsrGraph& /*graph*/,
     return 0;
   }
   return static_weight * tables_[state.step][relation];
+}
+
+void WeightedMetaPathApp::DynamicWeights(const CsrGraph& graph,
+                                         const WalkState& state,
+                                         uint32_t offset,
+                                         std::span<Weight> out) const {
+  if (state.step >= tables_.size()) {
+    std::fill(out.begin(), out.end(), Weight{0});
+    return;
+  }
+  const RelationTable& table = tables_[state.step];
+  const Weight* weights = graph.NeighborWeights(state.curr).data() + offset;
+  const Relation* relations =
+      graph.NeighborRelations(state.curr).data() + offset;
+  for (size_t j = 0; j < out.size(); ++j) {
+    out[j] = weights[j] * table[relations[j]];
+  }
 }
 
 }  // namespace lightrw::apps

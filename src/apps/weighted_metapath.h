@@ -34,6 +34,9 @@ class WeightedMetaPathApp : public WalkApp {
                        VertexId dst, Weight static_weight,
                        Relation relation) const override;
 
+  void DynamicWeights(const CsrGraph& graph, const WalkState& state,
+                      uint32_t offset, std::span<Weight> out) const override;
+
   size_t path_length() const { return tables_.size(); }
 
  private:

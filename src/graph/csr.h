@@ -17,9 +17,11 @@ namespace lightrw::graph {
 
 // Immutable CSR graph. Construct with GraphBuilder (builder.h).
 //
-// Adjacency lists are sorted by destination vertex id, which both matches
-// the paper's layout and enables O(log d) edge-existence queries (needed by
-// Node2Vec's second-order weight function).
+// Adjacency lists are sorted by destination vertex id. That matches the
+// paper's layout, lets Node2Vec's weight updater test membership in
+// N(prev) with one forward merge per chunk (apps::Node2VecApp), and gives
+// O(log d) point queries (HasEdge) to the per-edge weight definition, the
+// CPU rejection baseline and the checkers.
 class CsrGraph {
  public:
   CsrGraph() = default;

@@ -1,6 +1,7 @@
 #include "lightrw/step_sampler.h"
 
 #include <algorithm>
+#include <span>
 
 #include "sampling/sampler.h"
 
@@ -30,16 +31,14 @@ VertexId StepSampler::SampleNext(const CsrGraph& graph, const WalkApp& app,
       pwrs_.OfferBatch(static_weights.subspan(offset, n), offset);
     }
   } else {
-    const auto relations = graph.NeighborRelations(state.curr);
+    // One weight-updater call per k-edge chunk, into the k-entry batch
+    // buffer the lanes then consume.
     for (uint32_t offset = 0; offset < degree; offset += k) {
       const uint32_t n =
           std::min<uint32_t>(static_cast<uint32_t>(k), degree - offset);
-      for (uint32_t j = 0; j < n; ++j) {
-        batch_[j] = app.DynamicWeight(graph, state, neighbors[offset + j],
-                                      static_weights[offset + j],
-                                      relations[offset + j]);
-      }
-      pwrs_.OfferBatch({batch_.data(), n}, offset);
+      const std::span<Weight> batch(batch_.data(), n);
+      app.DynamicWeights(graph, state, offset, batch);
+      pwrs_.OfferBatch(batch, offset);
     }
   }
   const size_t picked = pwrs_.selected();
