@@ -1,6 +1,7 @@
-// Host-speed microbenchmark of the PWRS sampler kernel: the scalar
-// reference loop (OfferBatchReference) against the dispatched OfferBatch
-// (the AVX-512 kernel where the host has it), at k = 8..64 lanes.
+// Host-speed microbenchmark of the PWRS sampler kernel, one walk step
+// per iteration: the scalar reference loop (OfferBatchReference per
+// k-edge batch) against SampleAll, which streams the whole row through
+// the AVX-512 kernel where the host has it, at k = 8..64 lanes.
 //
 // Two weight streams, each a pool of adjacency rows offered one row per
 // walk step:
@@ -33,7 +34,7 @@ constexpr size_t kDegree = 207;
 constexpr size_t kRows = 256;
 
 enum class Stream { kLiveJournal, kMetaPath };
-enum class Path { kReference, kDispatched };
+enum class Path { kReference, kStream };
 
 std::vector<Weight> MakeRows(Stream stream) {
   rng::Xoshiro256StarStar gen(0x9a7e);
@@ -56,13 +57,13 @@ void BM_Pwrs(benchmark::State& state, Stream stream, Path path) {
   for (auto _ : state) {
     const std::span<const Weight> offered(weights.data() + row * kDegree,
                                           kDegree);
-    sampler.Reset();
-    for (size_t offset = 0; offset < kDegree; offset += k) {
-      const auto batch = offered.subspan(offset, std::min(k, kDegree - offset));
-      if (path == Path::kReference) {
-        sampler.OfferBatchReference(batch, offset);
-      } else {
-        sampler.OfferBatch(batch, offset);
+    if (path == Path::kStream) {
+      sampler.SampleAll(offered);
+    } else {
+      sampler.Reset();
+      for (size_t offset = 0; offset < kDegree; offset += k) {
+        sampler.OfferBatchReference(
+            offered.subspan(offset, std::min(k, kDegree - offset)), offset);
       }
     }
     benchmark::DoNotOptimize(sampler.selected());
@@ -77,16 +78,16 @@ BENCHMARK_CAPTURE(BM_Pwrs, livejournal_reference, Stream::kLiveJournal,
                   Path::kReference)
     ->RangeMultiplier(2)
     ->Range(8, 64);
-BENCHMARK_CAPTURE(BM_Pwrs, livejournal_dispatched, Stream::kLiveJournal,
-                  Path::kDispatched)
+BENCHMARK_CAPTURE(BM_Pwrs, livejournal_stream, Stream::kLiveJournal,
+                  Path::kStream)
     ->RangeMultiplier(2)
     ->Range(8, 64);
 BENCHMARK_CAPTURE(BM_Pwrs, metapath_reference, Stream::kMetaPath,
                   Path::kReference)
     ->RangeMultiplier(2)
     ->Range(8, 64);
-BENCHMARK_CAPTURE(BM_Pwrs, metapath_dispatched, Stream::kMetaPath,
-                  Path::kDispatched)
+BENCHMARK_CAPTURE(BM_Pwrs, metapath_stream, Stream::kMetaPath,
+                  Path::kStream)
     ->RangeMultiplier(2)
     ->Range(8, 64);
 

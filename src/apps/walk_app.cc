@@ -116,8 +116,8 @@ void Node2VecApp::DynamicWeights(const CsrGraph& graph, const WalkState& state,
     return;
   }
   // N(curr) and N(prev) are both sorted by destination, so one cursor
-  // into N(prev), placed once per chunk and only ever moved forward,
-  // answers every HasEdge(prev, dst) of the chunk in order.
+  // into N(prev), placed once per call and only ever moved forward,
+  // answers every HasEdge(prev, dst) of the range in order.
   const auto prev_neighbors = graph.Neighbors(state.prev);
   const VertexId* const prev_end =
       prev_neighbors.data() + prev_neighbors.size();

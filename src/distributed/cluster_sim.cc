@@ -80,9 +80,6 @@ struct ClusterSim::Walker {
   // from (config seed, ticket) so the walk is interleaving-independent.
   rng::ThunderingRng rng{1, 0};
   rng::Xoshiro256StarStar aux{0};
-  // Constructed lazily (it holds a pointer to `rng`, whose address is
-  // only stable once the walker vector stops relocating).
-  std::unique_ptr<core::StepSampler> sampler;
 };
 
 // Per-attempt "walk" span and its cycle-stage attribution. The
@@ -187,7 +184,11 @@ Status CheckFailoverSatisfiable(const DistributedConfig& config,
 ClusterSim::ClusterSim(const graph::CsrGraph* graph, const apps::WalkApp* app,
                        const Partition* partition,
                        const DistributedConfig& config, uint32_t max_walkers)
-    : graph_(graph), app_(app), partition_(partition), config_(config) {
+    : graph_(graph),
+      app_(app),
+      partition_(partition),
+      config_(config),
+      sampler_(config.board.sampler_parallelism, nullptr) {
   LIGHTRW_CHECK(graph != nullptr);
   LIGHTRW_CHECK(app != nullptr);
   LIGHTRW_CHECK(partition != nullptr);
@@ -577,10 +578,6 @@ void ClusterSim::Launch(uint64_t ticket, const apps::WalkQuery& query,
                       0x9e3779b97f4a7c15ULL * (ticket + 1));
   w.rng.Reseed(config_.board.sampler_parallelism, mix.Next());
   w.aux = rng::Xoshiro256StarStar(mix.Next());
-  if (w.sampler == nullptr) {
-    w.sampler = std::make_unique<core::StepSampler>(
-        config_.board.sampler_parallelism, &w.rng);
-  }
   if (checkpointing_ || store_ != nullptr) {
     // Dispatch checkpoint: a walker can always be recovered to its
     // start. Skipped entirely when nothing can trigger a recovery —
@@ -945,7 +942,7 @@ void ClusterSim::Step(size_t slot, Cycle now) {
   if (w.opts.uniform_step) {
     next = graph_->Neighbors(w.state.curr)[w.aux.NextBounded(degree)];
   } else {
-    next = w.sampler->SampleNext(*graph_, *app_, w.state);
+    next = sampler_.SampleNext(*graph_, *app_, w.state, w.rng);
   }
   w.phase = Phase::kInfo;
   if (channel.TakeAccessFailure()) {

@@ -334,6 +334,9 @@ class ClusterSim {
   // virtual dispatch through app_.
   bool needs_prev_neighbors_ = false;
   double stop_probability_ = 0.0;
+  // The weighted-step sampler of every walker: it holds no streams (each
+  // walker passes its own), only the step's weight buffer.
+  core::StepSampler sampler_;
 
   // A deque: boards hold a BoardDatapath, which never moves.
   std::deque<Board> boards_;

@@ -9,11 +9,13 @@
 // The result is distributed identically to the sequential sampler: item i
 // is finally selected with probability w_i / sum(w).
 //
-// OfferBatch runs the lanes of a batch eight at a time with AVX-512 when
-// the host has it, and otherwise (or when a batch does not qualify) runs
-// OfferBatchReference, the lane-by-lane loop. Both paths select the same
-// item, accumulate the same sum, and leave every RNG stream in the same
-// state; DESIGN.md "PWRS kernel" states the contract.
+// SampleAll streams a whole weight sequence through one AVX-512 kernel
+// call when the host has it: the lane RNG states stay in registers from
+// the first batch to the last. OfferBatch is the same kernel over a
+// one-batch stream. Either falls back to OfferBatchReference, the
+// lane-by-lane loop, when the input does not qualify. All paths select
+// the same item, accumulate the same sum, and leave every RNG stream in
+// the same state; DESIGN.md "PWRS kernel" states the contract.
 
 #ifndef LIGHTRW_SAMPLING_PARALLEL_WRS_H_
 #define LIGHTRW_SAMPLING_PARALLEL_WRS_H_
@@ -56,11 +58,12 @@ class ParallelWrsSampler {
   void OfferBatchReference(std::span<const Weight> weights,
                            size_t base_index);
 
-  // True when OfferBatch may take the SIMD kernel (chosen once, at
-  // construction, from the host CPU).
+  // True when OfferBatch and SampleAll may take the SIMD kernel (chosen
+  // once, at construction, from the host CPU).
   bool simd_active() const { return simd_; }
 
-  // Convenience: streams an entire weight sequence through OfferBatch.
+  // Reset, then OfferBatch over every k-weight chunk of `weights` (the
+  // per-step entry point), in one SIMD kernel call where it qualifies.
   // Returns selected().
   size_t SampleAll(std::span<const Weight> weights);
 
@@ -69,6 +72,13 @@ class ParallelWrsSampler {
   uint64_t batches_consumed() const { return batches_consumed_; }
 
  private:
+  // Offers `weights` through the SIMD kernel as consecutive batches of
+  // `lanes` lanes, the first at stream index `base_index`. Returns false,
+  // having changed nothing, when the kernel cannot take the stream
+  // exactly (no AVX-512, lanes > 64, or a sum reaching 2^32).
+  bool OfferStream(std::span<const Weight> weights, size_t lanes,
+                   size_t base_index);
+
   size_t k_;
   bool simd_;
   rng::ThunderingRng* rng_;

@@ -6,8 +6,10 @@
 // weights near UINT32_MAX / kWeightScale) and on adversarial walk states
 // (prev == curr, dst == prev, prev of degree 0, no prev yet), for every
 // chunk start at k = 1, 8, 16 and 64. A second check runs whole walks
-// through StepSampler and through a reference sampler that feeds the
-// per-edge loop to the PWRS lanes; paths and RNG stream states must agree.
+// through StepSampler (one DynamicWeights call and one SIMD SampleAll
+// stream per step) and through a reference sampler that feeds the
+// per-edge loop to the scalar PWRS lanes batch by batch; paths and RNG
+// stream states must agree.
 
 #include <algorithm>
 #include <cstddef>
@@ -260,7 +262,8 @@ TEST(DynamicWeightsTest, Node2VecClassifiesReturnAdjacentAndDistant) {
   EXPECT_EQ(out, (std::vector<Weight>{3 * 512, 3 * 128, 3 * 256, 3 * 512}));
 }
 
-// The pre-batch StepSampler: per-edge DynamicWeight into the PWRS lanes.
+// The pre-batch StepSampler on the scalar oracle: per-edge DynamicWeight
+// into OfferBatchReference, one k-edge batch at a time.
 VertexId ReferenceSampleNext(const CsrGraph& graph, const WalkApp& app,
                              const WalkState& state,
                              sampling::ParallelWrsSampler& pwrs) {
@@ -281,7 +284,7 @@ VertexId ReferenceSampleNext(const CsrGraph& graph, const WalkApp& app,
       batch[j] = app.DynamicWeight(graph, state, neighbors[offset + j],
                                    weights[offset + j], relations[offset + j]);
     }
-    pwrs.OfferBatch({batch.data(), n}, offset);
+    pwrs.OfferBatchReference({batch.data(), n}, offset);
   }
   const size_t picked = pwrs.selected();
   return picked == sampling::kNoSample ? kInvalidVertex : neighbors[picked];

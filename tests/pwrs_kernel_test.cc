@@ -1,9 +1,12 @@
-// Differential fuzz test of ParallelWrsSampler::OfferBatch (the SIMD
-// kernel wherever the host has it) against OfferBatchReference. Two
-// identically seeded generators feed one sampler each; after every batch
-// the selection, running sum and batch count must agree, and at the end
-// every stream of both generators must produce the same next 64 draws,
-// which holds only if every stream state is equal.
+// Differential fuzz test of the PWRS sampler's SIMD kernel against
+// OfferBatchReference. Three identically seeded generators feed one
+// sampler each: one offers every k-weight batch through OfferBatch (the
+// kernel over a one-batch stream), one offers each whole stream through
+// SampleAll (the kernel over the whole stream), and one runs the
+// reference loop. The batch twin must match the reference after every
+// batch, the stream twin after every stream, and at the end every stream
+// of the three generators must produce the same next 64 draws, which
+// holds only if every stream state is equal.
 
 #include <algorithm>
 #include <cstddef>
@@ -31,14 +34,17 @@ using WeightStream = std::vector<Weight>;
 using StreamMaker =
     std::function<WeightStream(rng::Xoshiro256StarStar&, size_t k)>;
 
-// Offers `streams` (one Reset per stream) to a dispatched and a reference
-// sampler over twin generators and checks they stay indistinguishable.
+// Offers `streams` (one Reset per stream) to the batch, stream and
+// reference twins over three generators and checks they stay
+// indistinguishable.
 void ExpectPathsAgree(size_t k, size_t stream_base, uint64_t seed,
                       const std::vector<WeightStream>& streams) {
   const size_t num_streams = stream_base + k + kGuardStreams;
   rng::ThunderingRng fast_rng(num_streams, seed);
+  rng::ThunderingRng stream_rng(num_streams, seed);
   rng::ThunderingRng ref_rng(num_streams, seed);
   ParallelWrsSampler fast(k, &fast_rng, stream_base);
+  ParallelWrsSampler stream(k, &stream_rng, stream_base);
   ParallelWrsSampler ref(k, &ref_rng, stream_base);
 
   for (size_t s = 0; s < streams.size(); ++s) {
@@ -57,11 +63,18 @@ void ExpectPathsAgree(size_t k, size_t stream_base, uint64_t seed,
       ASSERT_EQ(fast.batches_consumed(), ref.batches_consumed())
           << "stream " << s << " offset " << offset;
     }
+    ASSERT_EQ(stream.SampleAll(weights), ref.selected()) << "stream " << s;
+    ASSERT_EQ(stream.selected(), ref.selected()) << "stream " << s;
+    ASSERT_EQ(stream.weight_sum(), ref.weight_sum()) << "stream " << s;
+    ASSERT_EQ(stream.batches_consumed(), ref.batches_consumed())
+        << "stream " << s;
   }
-  for (size_t stream = 0; stream < num_streams; ++stream) {
+  for (size_t i = 0; i < num_streams; ++i) {
     for (size_t d = 0; d < kDrawsPerStream; ++d) {
-      ASSERT_EQ(fast_rng.Next(stream), ref_rng.Next(stream))
-          << "rng stream " << stream << " draw " << d;
+      const uint32_t want = ref_rng.Next(i);
+      ASSERT_EQ(fast_rng.Next(i), want) << "rng stream " << i << " draw " << d;
+      ASSERT_EQ(stream_rng.Next(i), want)
+          << "rng stream " << i << " draw " << d;
     }
   }
 }
@@ -154,6 +167,65 @@ TEST_P(PwrsKernelTest, MaxWeightsNear2To64MatchReference) {
     } else {
       w[first - 1] = kMaxWeight;
     }
+    return w;
+  });
+}
+
+TEST_P(PwrsKernelTest, ShortAndEmptyStreamsMatchReference) {
+  // Degree 0..7: an empty span, and streams shorter than one vector.
+  FuzzWith(GetParam(), 6, [](rng::Xoshiro256StarStar& gen, size_t) {
+    WeightStream w(gen.NextBounded(8));
+    for (Weight& x : w) {
+      x = static_cast<Weight>(gen.NextBounded(9));
+    }
+    return w;
+  });
+}
+
+TEST_P(PwrsKernelTest, ZeroRunsMatchReference) {
+  // All-zero streams, and runs of zeros long enough to blank whole
+  // batches between live edges.
+  FuzzWith(GetParam(), 7, [](rng::Xoshiro256StarStar& gen, size_t k) {
+    WeightStream w(RandomLength(gen, k), 0);
+    if (gen.NextBounded(4) == 0) {
+      return w;
+    }
+    for (size_t i = 0; i < w.size();) {
+      const size_t run = 1 + gen.NextBounded(3 * k);
+      if (gen.NextBounded(2) == 0) {
+        for (size_t j = i; j < std::min(w.size(), i + run); ++j) {
+          w[j] = static_cast<Weight>(1 + gen.NextBounded(100));
+        }
+      }
+      i += run;
+    }
+    return w;
+  });
+}
+
+TEST_P(PwrsKernelTest, StreamSumCrossing2To32PerBatchMatchesReference) {
+  // Small weights with one big edge whose inclusive sum reaches 2^32
+  // (exactly, or past it) in the first, a middle or the last batch: the
+  // whole-stream kernel must refuse the stream and the batched fallback
+  // must still match lane for lane.
+  FuzzWith(GetParam(), 8, [](rng::Xoshiro256StarStar& gen, size_t k) {
+    WeightStream w(1 + gen.NextBounded(6 * k + 20));
+    for (Weight& x : w) {
+      x = static_cast<Weight>(1 + gen.NextBounded(16));
+    }
+    const size_t batches = (w.size() + k - 1) / k;
+    const uint64_t where = gen.NextBounded(3);
+    const size_t batch =
+        where == 0 ? 0 : where == 1 ? batches / 2 : batches - 1;
+    const size_t first = batch * k;
+    const size_t i = first + gen.NextBounded(std::min(k, w.size() - first));
+    uint64_t before = 0;
+    for (size_t j = 0; j < i; ++j) {
+      before += w[j];
+    }
+    w[i] = before != 0 && gen.NextBounded(2) == 0
+               ? static_cast<Weight>((uint64_t{1} << 32) - before)
+               : kMaxWeight;
     return w;
   });
 }
@@ -260,8 +332,10 @@ TEST_P(PwrsKernelTest, Eq8TiesAreNotSelected) {
   }
 }
 
+// 3 and 12 leave a partial vector in every batch; 65 is past the
+// kernel's 64-lane limit, so every full batch takes the reference path.
 INSTANTIATE_TEST_SUITE_P(Lanes, PwrsKernelTest,
-                         testing::Values(1, 2, 4, 8, 16, 32, 64));
+                         testing::Values(1, 2, 3, 4, 8, 12, 16, 32, 64, 65));
 
 }  // namespace
 }  // namespace lightrw::sampling
