@@ -16,8 +16,11 @@
 // chaos scenario); 2 SLO breach (engine=service); 3 partial data (the
 // run completed but lost walks to injected faults).
 
+#include <cinttypes>
 #include <cstdio>
+#include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -34,14 +37,14 @@
 #include "graph/io.h"
 #include "lightrw/config_validation.h"
 #include "lightrw/cycle_engine.h"
-#include "lightrw/report.h"
 #include "lightrw/functional_engine.h"
+#include "lightrw/report.h"
 #include "obs/critical_path.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "obs/timeseries.h"
-#include "perf/perf_harness.h"
 #include "obs/trace.h"
+#include "perf/perf_harness.h"
 #include "reliability/chaos.h"
 #include "reliability/fault_injector.h"
 #include "reliability/membership.h"
@@ -70,26 +73,6 @@ std::unique_ptr<apps::WalkApp> MakeApp(const std::string& name,
     return std::make_unique<apps::StaticWalkApp>();
   }
   return nullptr;
-}
-
-// Maps a --partition flag value; false (with a one-line stderr reason)
-// for an unknown name.
-bool ParseStrategy(const std::string& name,
-                   distributed::PartitionStrategy* out) {
-  if (name == "hash") {
-    *out = distributed::PartitionStrategy::kHash;
-  } else if (name == "range") {
-    *out = distributed::PartitionStrategy::kRange;
-  } else if (name == "greedy") {
-    *out = distributed::PartitionStrategy::kGreedy;
-  } else {
-    std::fprintf(stderr,
-                 "unknown partition strategy '%s' (expected "
-                 "hash|range|greedy)\n",
-                 name.c_str());
-    return false;
-  }
-  return true;
 }
 
 // Parses a comma-separated list of non-negative integers ("" = empty).
@@ -183,59 +166,123 @@ void PrintReliabilitySummary(const reliability::ReliabilityStats& rel) {
   if (!rel.Any()) {
     return;
   }
-  std::printf(
-      "reliability: %llu fault(s) injected (%llu ecc, %llu link, %llu "
-      "board), %llu retransmission(s), %llu recovered, %llu lost, %llu "
-      "walk(s) failed\n",
-      static_cast<unsigned long long>(rel.FaultsInjected()),
-      static_cast<unsigned long long>(rel.dram_correctable +
-                                      rel.dram_uncorrectable),
-      static_cast<unsigned long long>(rel.link_dropped + rel.link_corrupted),
-      static_cast<unsigned long long>(rel.board_failures),
-      static_cast<unsigned long long>(rel.retransmissions),
-      static_cast<unsigned long long>(rel.walkers_recovered),
-      static_cast<unsigned long long>(rel.walkers_lost),
-      static_cast<unsigned long long>(rel.walks_failed));
+  std::printf("reliability: %" PRIu64 " fault(s) injected (%" PRIu64
+              " ecc, %" PRIu64 " link, %" PRIu64 " board), %" PRIu64
+              " retransmission(s), %" PRIu64 " recovered, %" PRIu64
+              " lost, %" PRIu64 " walk(s) failed\n",
+              rel.FaultsInjected(),
+              rel.dram_correctable + rel.dram_uncorrectable,
+              rel.link_dropped + rel.link_corrupted, rel.board_failures,
+              rel.retransmissions, rel.walkers_recovered, rel.walkers_lost,
+              rel.walks_failed);
   if (rel.spares_activated > 0 || rel.spare_exhaustions > 0) {
-    std::printf(
-        "self-healing: %llu spare(s) activated, %llu rebuild(s) completed "
-        "(%llu aborted, %llu cycle(s) total), %llu spare exhaustion(s)\n",
-        static_cast<unsigned long long>(rel.spares_activated),
-        static_cast<unsigned long long>(rel.rebuilds_completed),
-        static_cast<unsigned long long>(rel.rebuilds_aborted),
-        static_cast<unsigned long long>(rel.rebuild_cycles),
-        static_cast<unsigned long long>(rel.spare_exhaustions));
+    std::printf("self-healing: %" PRIu64 " spare(s) activated, %" PRIu64
+                " rebuild(s) completed (%" PRIu64 " aborted, %" PRIu64
+                " cycle(s) total), %" PRIu64 " spare exhaustion(s)\n",
+                rel.spares_activated, rel.rebuilds_completed,
+                rel.rebuilds_aborted, rel.rebuild_cycles,
+                rel.spare_exhaustions);
   }
   if (rel.ckpt_store_writes > 0 || rel.ckpt_crc_failures > 0) {
-    std::printf(
-        "durable store: %llu write(s), %llu read(s), %llu crc failure(s), "
-        "%llu fallback(s), %llu unrecoverable, %llu scrub repair(s) "
-        "(%llu torn, %llu rotten, %llu detected, %llu latent, %llu "
-        "silent)\n",
-        static_cast<unsigned long long>(rel.ckpt_store_writes),
-        static_cast<unsigned long long>(rel.ckpt_store_reads),
-        static_cast<unsigned long long>(rel.ckpt_crc_failures),
-        static_cast<unsigned long long>(rel.ckpt_fallbacks),
-        static_cast<unsigned long long>(rel.ckpt_unrecoverable),
-        static_cast<unsigned long long>(rel.ckpt_scrub_repairs),
-        static_cast<unsigned long long>(rel.ckpt_torn_writes),
-        static_cast<unsigned long long>(rel.ckpt_bit_rot),
-        static_cast<unsigned long long>(rel.ckpt_corrupt_detected),
-        static_cast<unsigned long long>(rel.ckpt_latent_corrupt),
-        static_cast<unsigned long long>(rel.ckpt_silent_accepts));
+    std::printf("durable store: %" PRIu64 " write(s), %" PRIu64
+                " read(s), %" PRIu64 " crc failure(s), %" PRIu64
+                " fallback(s), %" PRIu64 " unrecoverable, %" PRIu64
+                " scrub repair(s) (%" PRIu64 " torn, %" PRIu64
+                " rotten, %" PRIu64 " detected, %" PRIu64 " latent, %" PRIu64
+                " silent)\n",
+                rel.ckpt_store_writes, rel.ckpt_store_reads,
+                rel.ckpt_crc_failures, rel.ckpt_fallbacks,
+                rel.ckpt_unrecoverable, rel.ckpt_scrub_repairs,
+                rel.ckpt_torn_writes, rel.ckpt_bit_rot,
+                rel.ckpt_corrupt_detected, rel.ckpt_latent_corrupt,
+                rel.ckpt_silent_accepts);
   }
+}
+
+// True for an OK status; otherwise prints "<what>: <status>" on stderr.
+bool Ok(const Status& status, const std::string& what) {
+  if (!status.ok()) {
+    std::fprintf(stderr, "%s: %s\n", what.c_str(), status.ToString().c_str());
+  }
+  return status.ok();
 }
 
 // Exit 3 ("partial data") when the run completed but lost walk data to
 // injected faults — distinct from exit 1 (the tool failed to run) so
 // callers can keep the partial corpus knowingly.
 int ReliabilityExitCode(const reliability::ReliabilityStats& rel) {
-  const Status status = reliability::ReliabilityStatus(rel);
-  if (!status.ok()) {
-    std::fprintf(stderr, "partial data: %s\n", status.ToString().c_str());
-    return 3;
+  return Ok(reliability::ReliabilityStatus(rel), "partial data") ? 0 : 3;
+}
+
+// One output file at `path` (skipped when the path is empty): `text`
+// renders it, or `stream` writes it directly; `wrote` is the stdout line
+// reporting it.
+struct Output {
+  const char* what;
+  std::string path;
+  std::function<std::string()> text;
+  std::string wrote;
+  std::function<Status(const std::string& path)> stream = nullptr;
+};
+
+// The tool's one output path. Writes each requested file in order and
+// reports it on stdout; the first failure prints a one-line reason on
+// stderr and returns false (exit 1) without writing the rest.
+bool WriteOutputs(const std::vector<Output>& outputs) {
+  for (const Output& out : outputs) {
+    if (out.path.empty()) {
+      continue;
+    }
+    const Status written =
+        out.stream ? out.stream(out.path)
+                   : obs::WriteTextFile(out.text(), out.path);
+    if (!Ok(written, std::string("failed to write ") + out.what)) {
+      return false;
+    }
+    std::printf("%s\n", out.wrote.c_str());
   }
-  return 0;
+  return true;
+}
+
+// Board count, partition and cluster configuration shared by the
+// distributed and service engines. Empty (with a one-line stderr reason)
+// on a bad flag.
+std::optional<distributed::Partition> ClusterFromFlags(
+    const FlagParser& flags, const graph::CsrGraph& g,
+    const reliability::FaultConfig& faults, uint32_t threads,
+    distributed::DistributedConfig* config) {
+  const int64_t boards = flags.GetInt("boards");
+  if (boards < 1 || boards > 1024) {
+    std::fprintf(stderr, "--boards must be in [1, 1024], got %lld\n",
+                 static_cast<long long>(boards));
+    return std::nullopt;
+  }
+  const std::string name = flags.GetString("partition");
+  distributed::PartitionStrategy strategy;
+  if (name == "hash") {
+    strategy = distributed::PartitionStrategy::kHash;
+  } else if (name == "range") {
+    strategy = distributed::PartitionStrategy::kRange;
+  } else if (name == "greedy") {
+    strategy = distributed::PartitionStrategy::kGreedy;
+  } else {
+    std::fprintf(stderr,
+                 "unknown partition strategy '%s' (expected "
+                 "hash|range|greedy)\n",
+                 name.c_str());
+    return std::nullopt;
+  }
+  config->board.num_instances = 1;
+  config->board.seed = flags.GetInt("seed");
+  config->board.faults = faults;
+  config->replicate_graph = flags.GetBool("replicate");
+  config->num_spare_boards =
+      static_cast<uint32_t>(flags.GetInt("spare-boards"));
+  config->rebuild_bytes_per_cycle =
+      flags.GetDouble("rebuild-bytes-per-cycle");
+  config->num_threads = threads;
+  return distributed::MakePartition(
+      g, static_cast<distributed::BoardId>(boards), strategy);
 }
 
 }  // namespace
@@ -495,9 +542,7 @@ int main(int argc, char** argv) {
   if (!flags.GetString("graph").empty()) {
     auto loaded = graph::ReadEdgeList(flags.GetString("graph"),
                                       flags.GetBool("undirected"));
-    if (!loaded.ok()) {
-      std::fprintf(stderr, "failed to load graph: %s\n",
-                   loaded.status().ToString().c_str());
+    if (!Ok(loaded.status(), "failed to load graph")) {
       return 1;
     }
     g = std::move(loaded).value();
@@ -558,9 +603,7 @@ int main(int argc, char** argv) {
     chaos.walk_length = length;
     const auto campaign =
         reliability::RunChaosCampaign(g, *app, chaos);
-    if (!campaign.ok()) {
-      std::fprintf(stderr, "chaos campaign failed: %s\n",
-                   campaign.status().ToString().c_str());
+    if (!Ok(campaign.status(), "chaos campaign failed")) {
       return 1;
     }
     for (const auto& scenario : campaign->scenarios) {
@@ -574,26 +617,15 @@ int main(int argc, char** argv) {
                 campaign->scenarios.size() - campaign->failures,
                 campaign->scenarios.size());
     const std::string chaos_out = flags.GetString("chaos-out");
-    if (!chaos_out.empty()) {
-      const Status written =
-          obs::WriteTextFile(campaign->ToJson().Dump(2) + "\n", chaos_out);
-      if (!written.ok()) {
-        std::fprintf(stderr, "failed to write chaos report: %s\n",
-                     written.ToString().c_str());
-        return 1;
-      }
-      std::printf("wrote chaos report to %s\n", chaos_out.c_str());
-    }
     const std::string chaos_spans_out = flags.GetString("chaos-spans-out");
-    if (!chaos_spans_out.empty()) {
-      const Status written = obs::WriteTextFile(
-          campaign->sampled_span_json + "\n", chaos_spans_out);
-      if (!written.ok()) {
-        std::fprintf(stderr, "failed to write chaos spans: %s\n",
-                     written.ToString().c_str());
-        return 1;
-      }
-      std::printf("wrote chaos spans to %s\n", chaos_spans_out.c_str());
+    if (!WriteOutputs(
+            {{"chaos report", chaos_out,
+              [&] { return campaign->ToJson().Dump(2) + "\n"; },
+              "wrote chaos report to " + chaos_out},
+             {"chaos spans", chaos_spans_out,
+              [&] { return campaign->sampled_span_json + "\n"; },
+              "wrote chaos spans to " + chaos_spans_out}})) {
+      return 1;
     }
     return campaign->Passed() ? 0 : 1;
   }
@@ -648,10 +680,8 @@ int main(int argc, char** argv) {
       static_cast<uint64_t>(flags.GetInt("burn-alert-fast-window"));
   burn_config.slow_window_cycles =
       static_cast<uint64_t>(flags.GetInt("burn-alert-slow-window"));
-  const Status burn_valid = obs::ValidateBurnRateConfig(burn_config);
-  if (!burn_valid.ok()) {
-    std::fprintf(stderr, "invalid burn-alert configuration: %s\n",
-                 burn_valid.ToString().c_str());
+  if (!Ok(obs::ValidateBurnRateConfig(burn_config),
+          "invalid burn-alert configuration")) {
     return 1;
   }
 
@@ -686,6 +716,15 @@ int main(int argc, char** argv) {
   }
   ts_config.anomaly_warmup = static_cast<uint32_t>(raw_warmup);
   obs::TimeSeriesRecorder timeseries(ts_config);
+  // The one sink wiring of the cycle-accurate engines: each sink attaches
+  // only when its output was requested.
+  const auto attach_sinks = [&](core::AcceleratorConfig* config) {
+    config->metrics = metrics_out.empty() ? nullptr : &metrics;
+    config->trace = trace_out.empty() ? nullptr : &trace;
+    config->spans = spans_out.empty() ? nullptr : &spans;
+    config->timeseries = want_timeseries ? &timeseries : nullptr;
+  };
+
   reliability::FaultConfig faults;
   if (!FaultsFromFlags(flags, &faults)) {
     return 1;
@@ -719,20 +758,9 @@ int main(int argc, char** argv) {
     config.seed = flags.GetInt("seed");
     config.faults = faults;
     config.num_threads = threads;
-    if (!metrics_out.empty()) {
-      config.metrics = &metrics;
-    }
-    if (!trace_out.empty()) {
-      config.trace = &trace;
-    }
-    if (want_timeseries) {
-      config.timeseries = &timeseries;
-    }
-    const Status valid =
-        core::ValidateConfig(config, app->needs_prev_neighbors());
-    if (!valid.ok()) {
-      std::fprintf(stderr, "invalid configuration: %s\n",
-                   valid.ToString().c_str());
+    attach_sinks(&config);
+    if (!Ok(core::ValidateConfig(config, app->needs_prev_neighbors()),
+            "invalid configuration")) {
       return 1;
     }
     core::CycleEngine accel(&g, app.get(), config);
@@ -763,53 +791,24 @@ int main(int argc, char** argv) {
     }
     exit_code = ReliabilityExitCode(stats.reliability);
   } else if (engine == "distributed") {
-    const int64_t boards = flags.GetInt("boards");
-    if (boards < 1 || boards > 1024) {
-      std::fprintf(stderr, "--boards must be in [1, 1024], got %lld\n",
-                   static_cast<long long>(boards));
-      return 1;
-    }
-    const std::string strategy_name = flags.GetString("partition");
-    distributed::PartitionStrategy strategy;
-    if (!ParseStrategy(strategy_name, &strategy)) {
-      return 1;
-    }
-    const distributed::Partition partition = distributed::MakePartition(
-        g, static_cast<distributed::BoardId>(boards), strategy);
     distributed::DistributedConfig config;
-    config.board.num_instances = 1;
-    config.board.seed = flags.GetInt("seed");
-    config.board.faults = faults;
-    config.replicate_graph = flags.GetBool("replicate");
-    config.num_spare_boards = static_cast<uint32_t>(raw_spares);
-    config.rebuild_bytes_per_cycle =
-        flags.GetDouble("rebuild-bytes-per-cycle");
-    config.num_threads = threads;
-    if (!metrics_out.empty()) {
-      config.board.metrics = &metrics;
+    const auto partition = ClusterFromFlags(flags, g, faults, threads, &config);
+    if (!partition) {
+      return 1;
     }
-    if (!trace_out.empty()) {
-      config.board.trace = &trace;
-    }
-    if (!spans_out.empty()) {
-      config.board.spans = &spans;
-    }
-    if (want_timeseries) {
-      config.board.timeseries = &timeseries;
-    }
-    distributed::DistributedEngine accel(&g, app.get(), &partition, config);
+    attach_sinks(&config.board);
+    distributed::DistributedEngine accel(&g, app.get(), &*partition, config);
     const auto result = accel.Run(queries, &corpus);
-    if (!result.ok()) {
-      std::fprintf(stderr, "distributed run failed: %s\n",
-                   result.status().ToString().c_str());
+    if (!Ok(result.status(), "distributed run failed")) {
       return 1;
     }
     const auto& stats = *result;
     std::printf(
-        "distributed (%lld board(s), %s): %llu steps, %llu migrations "
+        "distributed (%u board(s), %s): %llu steps, %llu migrations "
         "(%.1f%%), %llu cycles = %.4fs simulated (%.2f Msteps/s)\n",
-        static_cast<long long>(boards),
-        config.replicate_graph ? "replicated" : strategy_name.c_str(),
+        partition->num_boards(),
+        config.replicate_graph ? "replicated"
+                               : flags.GetString("partition").c_str(),
         static_cast<unsigned long long>(stats.steps),
         static_cast<unsigned long long>(stats.migrations),
         stats.MigrationRatio() * 100.0,
@@ -820,41 +819,15 @@ int main(int argc, char** argv) {
     membership = stats.membership;
     exit_code = ReliabilityExitCode(stats.reliability);
   } else if (engine == "service") {
-    const int64_t boards = flags.GetInt("boards");
-    if (boards < 1 || boards > 1024) {
-      std::fprintf(stderr, "--boards must be in [1, 1024], got %lld\n",
-                   static_cast<long long>(boards));
-      return 1;
-    }
-    distributed::PartitionStrategy strategy;
-    if (!ParseStrategy(flags.GetString("partition"), &strategy)) {
-      return 1;
-    }
-    const distributed::Partition partition = distributed::MakePartition(
-        g, static_cast<distributed::BoardId>(boards), strategy);
     service::ServiceConfig config;
-    config.cluster.board.num_instances = 1;
-    config.cluster.board.seed = flags.GetInt("seed");
-    config.cluster.board.faults = faults;
-    config.cluster.replicate_graph = flags.GetBool("replicate");
-    config.cluster.num_spare_boards = static_cast<uint32_t>(raw_spares);
-    config.cluster.rebuild_bytes_per_cycle =
-        flags.GetDouble("rebuild-bytes-per-cycle");
-    config.cluster.num_threads = threads;
+    const auto partition =
+        ClusterFromFlags(flags, g, faults, threads, &config.cluster);
+    if (!partition) {
+      return 1;
+    }
+    attach_sinks(&config.cluster.board);
     config.admission_shards =
         static_cast<uint32_t>(flags.GetInt("service-shards"));
-    if (!metrics_out.empty()) {
-      config.cluster.board.metrics = &metrics;
-    }
-    if (!trace_out.empty()) {
-      config.cluster.board.trace = &trace;
-    }
-    if (!spans_out.empty()) {
-      config.cluster.board.spans = &spans;
-    }
-    if (want_timeseries) {
-      config.cluster.board.timeseries = &timeseries;
-    }
     config.arrivals.seed = static_cast<uint64_t>(flags.GetInt("seed"));
     config.arrivals.num_queries =
         raw_queries > 0 ? static_cast<uint64_t>(raw_queries) : 1024;
@@ -874,23 +847,19 @@ int main(int argc, char** argv) {
     config.retry_budget =
         static_cast<uint32_t>(flags.GetInt("service-retries"));
     config.degrade_enabled = flags.GetBool("service-degrade");
-    const Status valid = service::ValidateServiceConfig(config);
-    if (!valid.ok()) {
-      std::fprintf(stderr, "invalid service configuration: %s\n",
-                   valid.ToString().c_str());
+    if (!Ok(service::ValidateServiceConfig(config),
+            "invalid service configuration")) {
       return 1;
     }
     std::printf("app %s, %llu offered queries of length %u at %.3f/kcycle, "
-                "engine service (%lld board(s))\n",
+                "engine service (%u board(s))\n",
                 app->name().c_str(),
                 static_cast<unsigned long long>(config.arrivals.num_queries),
                 length, config.arrivals.rate_per_kcycle,
-                static_cast<long long>(boards));
-    service::WalkService service(&g, app.get(), &partition, config);
+                partition->num_boards());
+    service::WalkService service(&g, app.get(), &*partition, config);
     const auto result = service.Run(&corpus);
-    if (!result.ok()) {
-      std::fprintf(stderr, "service run failed: %s\n",
-                   result.status().ToString().c_str());
+    if (!Ok(result.status(), "service run failed")) {
       return 1;
     }
     const auto& stats = *result;
@@ -931,6 +900,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  obs::Json spans_doc;
   if (!spans_out.empty()) {
     // Post-run span analysis: per-query critical paths, the breach
     // report, and the multi-window SLO burn-rate monitor over the
@@ -942,129 +912,86 @@ int main(int argc, char** argv) {
     std::fputs(
         obs::FormatLatencyAttributionSection(attribution, alerts).c_str(),
         stdout);
-    if (!trace_out.empty()) {
-      // Fire the alert instants into the Chrome trace so burn-rate
-      // transitions line up with the pipeline timeline in Perfetto.
-      for (const obs::BurnAlert& alert : alerts) {
-        trace.Instant(alert.firing ? "slo_burn_fire" : "slo_burn_clear",
-                      "slo", /*pid=*/0, /*tid=*/0, alert.cycle);
+    for (const obs::BurnAlert& alert : alerts) {
+      const char* name = alert.firing ? "slo_burn_fire" : "slo_burn_clear";
+      if (!trace_out.empty()) {
+        // Fire the alert instants into the Chrome trace so burn-rate
+        // transitions line up with the pipeline timeline in Perfetto.
+        trace.Instant(name, "slo", /*pid=*/0, /*tid=*/0, alert.cycle);
+      }
+      if (want_timeseries) {
+        // Cross-annotate incidents against the burn-rate transitions: an
+        // incident whose window overlaps an alert cycle carries it.
+        timeseries.Annotate(name, alert.cycle, "");
       }
     }
-    if (want_timeseries) {
-      // Cross-annotate incidents against the burn-rate transitions: an
-      // incident whose window overlaps an alert cycle carries it.
-      for (const obs::BurnAlert& alert : alerts) {
-        timeseries.Annotate(
-            alert.firing ? "slo_burn_fire" : "slo_burn_clear", alert.cycle,
-            "");
-      }
-    }
-    obs::Json doc = spans.ToJson();
-    doc.Set("attribution", attribution.ToJson());
-    doc.Set("burn_alerts", obs::BurnAlertsToJson(alerts));
-    doc.Set("membership", reliability::MembershipToJson(membership));
-    const Status written = obs::WriteTextFile(doc.Dump(2) + "\n", spans_out);
-    if (!written.ok()) {
-      std::fprintf(stderr, "failed to write spans: %s\n",
-                   written.ToString().c_str());
-      return 1;
-    }
-    std::printf("wrote %llu closed trace(s) to %s\n",
-                static_cast<unsigned long long>(spans.traces_closed()),
-                spans_out.c_str());
+    spans_doc = spans.ToJson();
+    spans_doc.Set("attribution", attribution.ToJson());
+    spans_doc.Set("burn_alerts", obs::BurnAlertsToJson(alerts));
+    spans_doc.Set("membership", reliability::MembershipToJson(membership));
   }
-  if (want_timeseries) {
-    const size_t incidents = timeseries.DetectIncidents().size();
-    if (!timeseries_out.empty()) {
-      const Status written =
-          obs::WriteTextFile(timeseries.ToJsonString(2), timeseries_out);
-      if (!written.ok()) {
-        std::fprintf(stderr, "failed to write timeseries: %s\n",
-                     written.ToString().c_str());
-        return 1;
-      }
-      std::printf(
-          "wrote %llu telemetry window(s), %zu incident(s) to %s\n",
-          static_cast<unsigned long long>(timeseries.num_windows()),
-          incidents, timeseries_out.c_str());
-    }
-    if (!openmetrics_out.empty()) {
-      const Status written = obs::WriteTextFile(
-          timeseries.ToOpenMetricsText(), openmetrics_out);
-      if (!written.ok()) {
-        std::fprintf(stderr, "failed to write openmetrics: %s\n",
-                     written.ToString().c_str());
-        return 1;
-      }
-      std::printf("wrote openmetrics exposition to %s\n",
-                  openmetrics_out.c_str());
-    }
-  }
-  if (!metrics_out.empty()) {
-    const bool prometheus =
-        metrics_format.empty()
-            ? metrics_out.size() > 5 &&
-                  metrics_out.rfind(".prom") == metrics_out.size() - 5
-            : metrics_format == "prometheus";
-    const Status written = obs::WriteTextFile(
-        prometheus ? metrics.ToPrometheusText() : metrics.ToJsonString(),
-        metrics_out);
-    if (!written.ok()) {
-      std::fprintf(stderr, "failed to write metrics: %s\n",
-                   written.ToString().c_str());
-      return 1;
-    }
-    std::printf("wrote metrics snapshot to %s\n", metrics_out.c_str());
-  }
-  if (!trace_out.empty()) {
-    const Status written = trace.WriteChromeTrace(trace_out);
-    if (!written.ok()) {
-      std::fprintf(stderr, "failed to write trace: %s\n",
-                   written.ToString().c_str());
-      return 1;
-    }
-    std::printf("wrote %zu trace events to %s (%zu dropped)\n",
-                trace.num_events(), trace_out.c_str(),
-                trace.dropped_events());
-  }
-
-  if (!flags.GetString("out").empty()) {
-    const Status written =
-        analytics::WriteCorpusText(corpus, flags.GetString("out"));
-    if (!written.ok()) {
-      std::fprintf(stderr, "failed to write corpus: %s\n",
-                   written.ToString().c_str());
-      return 1;
-    }
-    std::printf("wrote %zu walks to %s\n", corpus.num_paths(),
-                flags.GetString("out").c_str());
-  }
-
+  const size_t incidents =
+      want_timeseries ? timeseries.DetectIncidents().size() : 0;
+  const bool prometheus =
+      metrics_format.empty()
+          ? metrics_out.size() > 5 &&
+                metrics_out.rfind(".prom") == metrics_out.size() - 5
+          : metrics_format == "prometheus";
+  const std::string corpus_out = flags.GetString("out");
   const std::string perf_out = flags.GetString("perf-out");
-  if (!perf_out.empty()) {
-    // One timed repeat of the run that just happened: the body replays
-    // its counters while the FakeClock replays the measured wall time,
-    // so the report goes through the exact aggregation and schema path
-    // the CI perf gate consumes.
-    perf::WorkCounters counters;
-    counters.simulated_cycles = perf_sim_cycles;
-    counters.walks = corpus.num_paths();
-    counters.steps = corpus.vertices.size() >= corpus.num_paths()
-                         ? corpus.vertices.size() - corpus.num_paths()
-                         : 0;
-    counters.spans = spans_out.empty() ? 0 : spans.Spans().size();
-    const double elapsed = timer.ElapsedSeconds();
-    perf::FakeClock clock({0, static_cast<uint64_t>(elapsed * 1e9)});
-    perf::RepeatConfig repeat_config;
-    repeat_config.warmup = 0;
-    repeat_config.repeats = 1;
-    const perf::WorkloadResult measured = perf::MeasureWorkload(
-        engine, repeat_config, &clock, [&counters]() { return counters; });
-    if (!perf::WritePerfReportFile(
-            perf_out, perf::PerfReport("walk_tool", {measured}))) {
-      return 1;
-    }
-    std::printf("wrote perf report to %s\n", perf_out.c_str());
+  if (!WriteOutputs({
+          {"spans", spans_out, [&] { return spans_doc.Dump(2) + "\n"; },
+           "wrote " + std::to_string(spans.traces_closed()) +
+               " closed trace(s) to " + spans_out},
+          {"timeseries", timeseries_out,
+           [&] { return timeseries.ToJsonString(2); },
+           "wrote " + std::to_string(timeseries.num_windows()) +
+               " telemetry window(s), " + std::to_string(incidents) +
+               " incident(s) to " + timeseries_out},
+          {"openmetrics", openmetrics_out,
+           [&] { return timeseries.ToOpenMetricsText(); },
+           "wrote openmetrics exposition to " + openmetrics_out},
+          {"metrics", metrics_out,
+           [&] {
+             return prometheus ? metrics.ToPrometheusText()
+                               : metrics.ToJsonString();
+           },
+           "wrote metrics snapshot to " + metrics_out},
+          {"trace", trace_out, [&] { return trace.ToJsonString(); },
+           "wrote " + std::to_string(trace.num_events()) + " trace events to " +
+               trace_out + " (" + std::to_string(trace.dropped_events()) +
+               " dropped)"},
+          {"corpus", corpus_out, nullptr,
+           "wrote " + std::to_string(corpus.num_paths()) + " walks to " +
+               corpus_out,
+           [&](const std::string& path) {
+             return analytics::WriteCorpusText(corpus, path);
+           }},
+          {"perf report", perf_out,
+           [&] {
+             // One timed repeat of the run that just happened: the body
+             // replays its counters while the FakeClock replays the
+             // measured wall time, so the report goes through the exact
+             // aggregation and schema path the CI perf gate consumes.
+             perf::WorkCounters counters;
+             counters.simulated_cycles = perf_sim_cycles;
+             counters.walks = corpus.num_paths();
+             counters.steps = corpus.vertices.size() >= corpus.num_paths()
+                                  ? corpus.vertices.size() - corpus.num_paths()
+                                  : 0;
+             counters.spans = spans_out.empty() ? 0 : spans.Spans().size();
+             const double elapsed = timer.ElapsedSeconds();
+             perf::FakeClock clock({0, static_cast<uint64_t>(elapsed * 1e9)});
+             const perf::RepeatConfig repeat_config{/*warmup=*/0,
+                                                    /*repeats=*/1};
+             const perf::WorkloadResult measured = perf::MeasureWorkload(
+                 engine, repeat_config, &clock,
+                 [&counters]() { return counters; });
+             return perf::PerfReport("walk_tool", {measured}).Dump(2) + "\n";
+           },
+           "wrote perf report to " + perf_out},
+      })) {
+    return 1;
   }
   return exit_code;
 }

@@ -363,6 +363,25 @@ void ClusterSim::RebuildSurvivors() {
   }
 }
 
+inline void ClusterSim::TraceFault(const char* name, BoardId b, Cycle at) {
+  obs::TraceRecorder* trace = config_.board.trace;
+  if (trace != nullptr && trace->accepting()) {
+    trace->Instant(name, "fault", GlobalBoard(b), kBoardNetTrack, at);
+  }
+}
+
+inline void ClusterSim::SpanEvent(size_t slot, const char* name, Cycle at) {
+  if (obs::SpanRecorder* spans = config_.board.spans) {
+    spans->Event(walkers_[slot].ticket, attribs_[slot].span, name, at);
+  }
+}
+
+inline void ClusterSim::NoteWalkerFault(size_t slot, const char* name,
+                                        Cycle at) {
+  TraceFault(name, walkers_[slot].board, at);
+  SpanEvent(slot, name, at);
+}
+
 // Bumps the membership epoch and records/traces one board state change.
 void ClusterSim::Transition(BoardId b, reliability::BoardState to,
                             Cycle at) {
@@ -370,22 +389,17 @@ void ClusterSim::Transition(BoardId b, reliability::BoardState to,
   state_[b] = to;
   ++epoch_;
   transitions_.push_back({epoch_, at, GlobalBoard(b), from, to});
-  obs::TraceRecorder* trace = config_.board.trace;
-  if (trace != nullptr && trace->accepting()) {
-    const char* name = to == reliability::BoardState::kDead
-                           ? "board_failure"
-                           : to == reliability::BoardState::kRebuilding
-                                 ? "spare_activated"
-                                 : "partition_rebuilt";
-    trace->Instant(name, "fault", GlobalBoard(b), kBoardNetTrack, at);
+  const char* trace_name = "partition_rebuilt";
+  const char* ts_kind = "rebuild_complete";
+  if (to == reliability::BoardState::kDead) {
+    trace_name = "board_failure";
+    ts_kind = "board_death";
+  } else if (to == reliability::BoardState::kRebuilding) {
+    trace_name = ts_kind = "spare_activated";
   }
+  TraceFault(trace_name, b, at);
   if (ts_ != nullptr) {
-    const char* kind = to == reliability::BoardState::kDead
-                           ? "board_death"
-                           : to == reliability::BoardState::kRebuilding
-                                 ? "spare_activated"
-                                 : "rebuild_complete";
-    ts_->Annotate(kind, at, "board " + std::to_string(GlobalBoard(b)));
+    ts_->Annotate(ts_kind, at, "board " + std::to_string(GlobalBoard(b)));
   }
 }
 
@@ -436,11 +450,7 @@ void ClusterSim::TryActivateSpare(BoardId share, Cycle at) {
     if (store_ != nullptr && survivors_.empty()) {
       // No live owner to copy from: the spare re-materializes the
       // share from the durable checkpoint store instead.
-      obs::TraceRecorder* trace = config_.board.trace;
-      if (trace != nullptr && trace->accepting()) {
-        trace->Instant("rebuild_from_store", "fault", GlobalBoard(s),
-                       kBoardNetTrack, at);
-      }
+      TraceFault("rebuild_from_store", s, at);
     }
     const uint64_t bytes = share_bytes_.empty() ? 0 : share_bytes_[share];
     const Cycle copy_cycles = static_cast<Cycle>(
@@ -452,11 +462,7 @@ void ClusterSim::TryActivateSpare(BoardId share, Cycle at) {
     return;
   }
   ++recovery_rel_.spare_exhaustions;
-  obs::TraceRecorder* trace = config_.board.trace;
-  if (trace != nullptr && trace->accepting()) {
-    trace->Instant("spare_exhausted", "fault", GlobalBoard(share),
-                   kBoardNetTrack, at);
-  }
+  TraceFault("spare_exhausted", share, at);
 }
 
 // Kind-2 rebuild-completion event: ownership of the share transfers to
@@ -485,28 +491,24 @@ void ClusterSim::FlushParked(Cycle now) {
   if (parked_.empty()) {
     return;
   }
-  obs::TraceRecorder* trace = config_.board.trace;
-  obs::SpanRecorder* spans = config_.board.spans;
-  const reliability::FaultConfig& faults = config_.board.faults;
   for (const auto& [slot, parked_at] : parked_) {
-    Walker& w = walkers_[slot];
-    w.board = config_.replicate_graph ? SurvivorOf(w.ticket)
-                                      : LiveOwnerOf(w.state.curr);
-    const Cycle resume = now + faults.recovery_cycles_per_walker;
-    recovery_rel_.recovery_cycles += resume - parked_at;
-    attribs_[slot].recovery_cycles += resume - parked_at;
-    ++recovery_rel_.walkers_recovered;
-    if (trace != nullptr && trace->accepting()) {
-      trace->Instant("walker_recovered", "fault", GlobalBoard(w.board),
-                     kBoardNetTrack, resume);
-    }
-    if (spans != nullptr) {
-      spans->Event(w.ticket, attribs_[slot].span, "walker_recovered",
-                   resume);
-    }
-    events_.emplace(resume, 0, slot);
+    Redispatch(slot, parked_at,
+               now + config_.board.faults.recovery_cycles_per_walker);
   }
   parked_.clear();
+}
+
+// Moves a recovered walker to a serving board, resuming at `resume`; the
+// wait since `since` is charged as recovery time.
+void ClusterSim::Redispatch(size_t slot, Cycle since, Cycle resume) {
+  Walker& w = walkers_[slot];
+  w.board = config_.replicate_graph ? SurvivorOf(w.ticket)
+                                    : LiveOwnerOf(w.state.curr);
+  recovery_rel_.recovery_cycles += resume - since;
+  attribs_[slot].recovery_cycles += resume - since;
+  ++recovery_rel_.walkers_recovered;
+  NoteWalkerFault(slot, "walker_recovered", resume);
+  events_.emplace(resume, 0, slot);
 }
 
 // Kind-3 event: one scrub tick. The budget is bytes-per-cycle times the
@@ -521,10 +523,8 @@ void ClusterSim::ProcessScrub(Cycle now) {
       sc.scrub_bytes_per_cycle *
       static_cast<double>(sc.scrub_interval_cycles));
   const reliability::CkptStore::ScrubResult result = store_->Scrub(budget);
-  obs::TraceRecorder* trace = config_.board.trace;
-  if (result.repairs > 0 && trace != nullptr && trace->accepting()) {
-    trace->Instant("ckpt_scrub_repair", "fault", GlobalBoard(0),
-                   kBoardNetTrack, now);
+  if (result.repairs > 0) {
+    TraceFault("ckpt_scrub_repair", 0, now);
   }
   if (free_slots_.size() < walkers_.size()) {
     events_.emplace(now + sc.scrub_interval_cycles, 3, 0);
@@ -658,9 +658,7 @@ void ClusterSim::WriteStoreCheckpoint(size_t slot, Cycle at) {
          c.store_snaps.front().first < wr.oldest_generation) {
     c.store_snaps.erase(c.store_snaps.begin());
   }
-  if (obs::SpanRecorder* spans = config_.board.spans) {
-    spans->Event(w.ticket, attribs_[slot].span, "ckpt_write", at);
-  }
+  SpanEvent(slot, "ckpt_write", at);
 }
 
 // Attaches the attempt's cycle-stage attribution to its "walk" span and
@@ -685,39 +683,30 @@ void ClusterSim::EndWalkSpan(size_t slot, Cycle at) {
 }
 
 void ClusterSim::Retire(size_t slot, Cycle at) {
-  Walker& w = walkers_[slot];
   if (ts_latency_ != nullptr) {
     // Exemplar ids before EndWalkSpan clears the span handle: the
     // window's worst sample must resolve into the span export.
+    const Walker& w = walkers_[slot];
     ts_latency_->ObserveExemplar(static_cast<double>(at - w.launched),
                                  w.ticket, attribs_[slot].span);
     ts_retired_->Increment();
-    ts_inflight_->Add(-1.0);
   }
-  EndWalkSpan(slot, at);
-  if (store_ != nullptr) {
-    store_->Drop(w.ticket);
-    cold_[slot].store_snaps.clear();
-  }
-  WalkerEnd end;
-  end.ticket = w.ticket;
-  end.at = at;
-  end.steps = w.state.step;
-  end.board = w.launch_board;
-  makespan_ = std::max(makespan_, at);
-  --inflight_[w.launch_board];
-  free_slots_.push(slot);
-  std::vector<VertexId> path = std::move(w.path);
-  w.path.clear();
-  if (on_retire_) {
-    on_retire_(end, std::move(path));
-  }
+  Release(slot, at, WalkerEnd{});
 }
 
 void ClusterSim::FailWalker(size_t slot, Cycle at, bool board_lost) {
-  Walker& w = walkers_[slot];
   if (ts_failed_ != nullptr) {
     ts_failed_->Increment();
+  }
+  WalkerEnd end;
+  end.board_lost = board_lost;
+  end.data_fault = !board_lost;
+  Release(slot, at, end);
+}
+
+void ClusterSim::Release(size_t slot, Cycle at, WalkerEnd end) {
+  Walker& w = walkers_[slot];
+  if (ts_inflight_ != nullptr) {
     ts_inflight_->Add(-1.0);
   }
   EndWalkSpan(slot, at);
@@ -725,13 +714,10 @@ void ClusterSim::FailWalker(size_t slot, Cycle at, bool board_lost) {
     store_->Drop(w.ticket);
     cold_[slot].store_snaps.clear();
   }
-  WalkerEnd end;
   end.ticket = w.ticket;
   end.at = at;
   end.steps = w.state.step;
   end.board = w.launch_board;
-  end.board_lost = board_lost;
-  end.data_fault = !board_lost;
   makespan_ = std::max(makespan_, at);
   --inflight_[w.launch_board];
   free_slots_.push(slot);
@@ -749,20 +735,11 @@ void ClusterSim::FailWalker(size_t slot, Cycle at, bool board_lost) {
 // layer gets the failure surfaced instead and owns the retry.
 void ClusterSim::Recover(size_t slot, Cycle at) {
   Walker& w = walkers_[slot];
-  WalkerAttrib& a = attribs_[slot];
-  obs::TraceRecorder* trace = config_.board.trace;
-  obs::SpanRecorder* spans = config_.board.spans;
   const reliability::FaultConfig& faults = config_.board.faults;
   if (!checkpointing_ && store_ == nullptr) {
     ++recovery_rel_.walkers_lost;
     ++recovery_rel_.walks_failed;
-    if (trace != nullptr && trace->accepting()) {
-      trace->Instant("walker_lost", "fault", GlobalBoard(w.board),
-                     kBoardNetTrack, at);
-    }
-    if (spans != nullptr) {
-      spans->Event(w.ticket, a.span, "walker_lost", at);
-    }
+    NoteWalkerFault(slot, "walker_lost", at);
     Retire(slot, at);
     return;
   }
@@ -773,35 +750,21 @@ void ClusterSim::Recover(size_t slot, Cycle at) {
     // falling back through the generation chain.
     const reliability::CkptStore::ReadResult rr = store_->Read(w.ticket);
     read_latency = rr.latency_cycles;
-    if (spans != nullptr) {
-      spans->Event(w.ticket, a.span, "ckpt_read", at);
-    }
+    SpanEvent(slot, "ckpt_read", at);
     if (rr.crc_failures > 0) {
-      if (trace != nullptr && trace->accepting()) {
-        trace->Instant("ckpt_crc_fail", "fault", GlobalBoard(w.board),
-                       kBoardNetTrack, at);
-      }
-      if (spans != nullptr) {
-        spans->Event(w.ticket, a.span, "ckpt_crc_fail", at);
-      }
+      NoteWalkerFault(slot, "ckpt_crc_fail", at);
     }
     if (!rr.found) {
       // Every generation failed validation: the walk is unrecoverable
       // and retires truncated (the store counted ckpt_unrecoverable).
       ++recovery_rel_.walkers_lost;
       ++recovery_rel_.walks_failed;
-      if (trace != nullptr && trace->accepting()) {
-        trace->Instant("walker_lost", "fault", GlobalBoard(w.board),
-                       kBoardNetTrack, at);
-      }
-      if (spans != nullptr) {
-        spans->Event(w.ticket, a.span, "walker_lost", at);
-      }
+      NoteWalkerFault(slot, "walker_lost", at);
       Retire(slot, at + read_latency);
       return;
     }
-    if (rr.fell_back && spans != nullptr) {
-      spans->Event(w.ticket, a.span, "ckpt_fallback", at);
+    if (rr.fell_back) {
+      SpanEvent(slot, "ckpt_fallback", at);
     }
     // Restore from the generation-aligned snapshot (the validated
     // record cross-checks it; the snapshot supplies the RNG streams).
@@ -833,44 +796,23 @@ void ClusterSim::Recover(size_t slot, Cycle at) {
     // walker parks until a spare's rebuild-from-store completes
     // (CheckFailoverSatisfiable guarantees one will).
     parked_.emplace_back(slot, at);
-    if (trace != nullptr && trace->accepting()) {
-      trace->Instant("walker_parked", "fault", GlobalBoard(w.board),
-                     kBoardNetTrack, at);
-    }
-    if (spans != nullptr) {
-      spans->Event(w.ticket, a.span, "walker_parked", at);
-    }
+    NoteWalkerFault(slot, "walker_parked", at);
     return;
   }
-  w.board = config_.replicate_graph ? SurvivorOf(w.ticket)
-                                    : LiveOwnerOf(w.state.curr);
-  const Cycle resume = at + faults.detection_latency_cycles +
-                       faults.recovery_cycles_per_walker + read_latency;
-  recovery_rel_.recovery_cycles += resume - at;
-  a.recovery_cycles += resume - at;
-  ++recovery_rel_.walkers_recovered;
-  if (trace != nullptr && trace->accepting()) {
-    trace->Instant("walker_recovered", "fault", GlobalBoard(w.board),
-                   kBoardNetTrack, resume);
-  }
-  if (spans != nullptr) {
-    spans->Event(w.ticket, a.span, "walker_recovered", resume);
-  }
-  events_.emplace(resume, 0, slot);
+  Redispatch(slot, at,
+             at + faults.detection_latency_cycles +
+                 faults.recovery_cycles_per_walker + read_latency);
 }
 
 void ClusterSim::Step(size_t slot, Cycle now) {
   Walker& w = walkers_[slot];
   WalkerAttrib& a = attribs_[slot];
-  obs::SpanRecorder* spans = config_.board.spans;
   const reliability::FaultConfig& faults = config_.board.faults;
 
   // Board failure: any event landing on a dead board after its death
   // cycle finds the walker's resident state gone.
   if (state_[w.board] == reliability::BoardState::kDead) {
-    if (spans != nullptr) {
-      spans->Event(w.ticket, a.span, "board_failure", now);
-    }
+    SpanEvent(slot, "board_failure", now);
     if (surface_failures_) {
       a.recovery_cycles += faults.detection_latency_cycles;
       FailWalker(slot, now + faults.detection_latency_cycles,
@@ -895,16 +837,13 @@ void ClusterSim::Step(size_t slot, Cycle now) {
         now, w.state.curr, wants_prev ? w.state.prev : graph::kInvalidVertex);
     const Cycle t_info = info.done;
     a.stage.Accumulate(info.stage);
-    if (spans != nullptr &&
-        board.rel.dram_correctable > corrected_before) {
-      spans->Event(w.ticket, a.span, "dram_retry", t_info);
+    if (board.rel.dram_correctable > corrected_before) {
+      SpanEvent(slot, "dram_retry", t_info);
     }
     if (channel.TakeAccessFailure()) {
       // Uncorrectable ECC error on the row lookup: the walk cannot
       // continue from corrupt state.
-      if (spans != nullptr) {
-        spans->Event(w.ticket, a.span, "dram_uncorrectable", t_info);
-      }
+      SpanEvent(slot, "dram_uncorrectable", t_info);
       if (surface_failures_) {
         FailWalker(slot, t_info, /*board_lost=*/false);
       } else {
@@ -934,8 +873,8 @@ void ClusterSim::Step(size_t slot, Cycle now) {
                           : core::SamplerWork::kWeighted);
   const Cycle step_end = fetch.done;
   a.stage.Accumulate(fetch.stage);
-  if (spans != nullptr && board.rel.dram_correctable > corrected_before) {
-    spans->Event(w.ticket, a.span, "dram_retry", fetch.last_data);
+  if (board.rel.dram_correctable > corrected_before) {
+    SpanEvent(slot, "dram_retry", fetch.last_data);
   }
 
   VertexId next;
@@ -948,9 +887,7 @@ void ClusterSim::Step(size_t slot, Cycle now) {
   if (channel.TakeAccessFailure()) {
     // Uncorrectable ECC error in the adjacency stream: the sampled step
     // is based on corrupt data, so the walk fails here.
-    if (spans != nullptr) {
-      spans->Event(w.ticket, a.span, "dram_uncorrectable", step_end);
-    }
+    SpanEvent(slot, "dram_uncorrectable", step_end);
     if (surface_failures_) {
       FailWalker(slot, step_end, /*board_lost=*/false);
     } else {
@@ -994,13 +931,11 @@ void ClusterSim::Step(size_t slot, Cycle now) {
     ++total_migrations_;
     ++board.migrations_out;
     a.network_cycles += delivery.arrival - step_end;
-    if (spans != nullptr && delivery.attempts > 1) {
-      spans->Event(w.ticket, a.span, "link_retransmit", step_end);
+    if (delivery.attempts > 1) {
+      SpanEvent(slot, "link_retransmit", step_end);
     }
     if (!delivery.delivered) {
-      if (spans != nullptr) {
-        spans->Event(w.ticket, a.span, "link_loss", delivery.arrival);
-      }
+      SpanEvent(slot, "link_loss", delivery.arrival);
       if (surface_failures_) {
         FailWalker(slot, delivery.arrival, /*board_lost=*/true);
       } else {

@@ -307,6 +307,10 @@ class ClusterSim {
   void EndWalkSpan(size_t slot, hwsim::Cycle at);
   void Retire(size_t slot, hwsim::Cycle at);
   void FailWalker(size_t slot, hwsim::Cycle at, bool board_lost);
+  // The tail of Retire and FailWalker: closes the walk span, frees the
+  // slot, and hands `end` (ticket, cycle, steps, board filled in here)
+  // and the path to on_retire.
+  void Release(size_t slot, hwsim::Cycle at, WalkerEnd end);
   void Recover(size_t slot, hwsim::Cycle at);
   void TakeCheckpoint(size_t slot, Board& board, hwsim::Cycle at);
   // Membership machinery (see DESIGN.md "Membership, spares & partition
@@ -324,6 +328,15 @@ class ClusterSim {
   void WriteStoreCheckpoint(size_t slot, hwsim::Cycle at);
   void ProcessScrub(hwsim::Cycle now);
   void FlushParked(hwsim::Cycle now);
+  void Redispatch(size_t slot, hwsim::Cycle since, hwsim::Cycle resume);
+  // Fault and walker-event emission: the only places ClusterSim writes
+  // trace instants or span events. TraceFault puts a fault instant on
+  // board b's "network / faults" track; SpanEvent adds an event to the
+  // walker's "walk" span; NoteWalkerFault does both, on the walker's
+  // current board. Each is a no-op when its sink is absent.
+  void TraceFault(const char* name, BoardId b, hwsim::Cycle at);
+  void SpanEvent(size_t slot, const char* name, hwsim::Cycle at);
+  void NoteWalkerFault(size_t slot, const char* name, hwsim::Cycle at);
 
   const graph::CsrGraph* graph_;
   const apps::WalkApp* app_;

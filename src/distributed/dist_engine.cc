@@ -1,16 +1,13 @@
 #include "distributed/dist_engine.h"
 
 #include <algorithm>
-#include <memory>
 #include <utility>
 #include <vector>
 
 #include "common/check.h"
 #include "common/sim_thread_pool.h"
 #include "distributed/config_validation.h"
-#include "obs/span.h"
-#include "obs/timeseries.h"
-#include "obs/trace.h"
+#include "lightrw/sharding.h"
 
 namespace lightrw::distributed {
 
@@ -51,49 +48,19 @@ StatusOr<DistributedRunStats> DistributedEngine::Run(
     // ownership irrelevant; the partition only sizes the sim).
     const Partition single(
         std::vector<BoardId>(graph_->num_vertices(), 0), 1);
-    std::vector<std::vector<apps::WalkQuery>> shard_queries(num_boards);
-    std::vector<std::vector<size_t>> shard_tickets(num_boards);
-    for (size_t i = 0; i < queries.size(); ++i) {
-      shard_queries[i % num_boards].push_back(queries[i]);
-      shard_tickets[i % num_boards].push_back(i);
-    }
-
-    obs::TraceRecorder* shared_trace = config_.board.trace;
-    obs::SpanRecorder* shared_spans = config_.board.spans;
-    obs::TimeSeriesRecorder* shared_ts = config_.board.timeseries;
+    const core::QuerySplit split = core::SplitRoundRobin(queries, num_boards);
+    // Tickets (= trace ids) are disjoint across shards, so each shard
+    // records into private sinks, merged in shard order below.
+    core::ShardSinks sinks(config_.board, num_boards);
     std::vector<DistributedRunStats> shard_stats(num_boards);
-    std::vector<std::unique_ptr<obs::TraceRecorder>> trace_shards(
-        num_boards);
-    std::vector<std::unique_ptr<obs::SpanRecorder>> span_shards(
-        num_boards);
-    std::vector<std::unique_ptr<obs::TimeSeriesRecorder>> ts_shards(
-        num_boards);
     const uint32_t threads =
         SimThreadPool::ResolveThreads(config_.num_threads);
     SimThreadPool::ParallelFor(threads, num_boards, [&](size_t b) {
       DistributedConfig shard_config = config_;
       shard_config.first_board = static_cast<BoardId>(b);
-      if (shared_trace != nullptr) {
-        trace_shards[b] =
-            std::make_unique<obs::TraceRecorder>(shared_trace->config());
-        shard_config.board.trace = trace_shards[b].get();
-      }
-      if (shared_spans != nullptr) {
-        // Tickets (= trace ids) are disjoint across shards, so each shard
-        // records privately and merges in shard order below.
-        span_shards[b] =
-            std::make_unique<obs::SpanRecorder>(shared_spans->config());
-        shard_config.board.spans = span_shards[b].get();
-      }
-      if (shared_ts != nullptr) {
-        // Same discipline for time series: per-shard recorders on the
-        // shared scrape clock, merged per window index in shard order.
-        ts_shards[b] =
-            std::make_unique<obs::TimeSeriesRecorder>(shared_ts->config());
-        shard_config.board.timeseries = ts_shards[b].get();
-      }
-      const std::vector<apps::WalkQuery>& share = shard_queries[b];
-      const std::vector<size_t>& tickets = shard_tickets[b];
+      sinks.Attach(b, &shard_config.board);
+      const std::vector<apps::WalkQuery>& share = split.queries[b];
+      const std::vector<size_t>& tickets = split.tickets[b];
       const size_t num_walkers = std::min<size_t>(
           config_.inflight_walkers_per_board, share.size());
       ClusterSim sim(graph_, app_, &single, shard_config,
@@ -121,17 +88,9 @@ StatusOr<DistributedRunStats> DistributedEngine::Run(
       sim.Drain();
       sim.Finalize(&shard_stats[b]);
     });
+    sinks.Merge();
     for (BoardId b = 0; b < num_boards; ++b) {
       stats.Accumulate(shard_stats[b]);
-      if (trace_shards[b] != nullptr) {
-        shared_trace->MergeFrom(trace_shards[b].get());
-      }
-      if (span_shards[b] != nullptr) {
-        shared_spans->MergeFrom(span_shards[b].get());
-      }
-      if (ts_shards[b] != nullptr) {
-        shared_ts->MergeFrom(ts_shards[b].get());
-      }
     }
     stats.seconds = static_cast<double>(stats.cycles) /
                     config_.board.dram.clock_hz;
@@ -186,12 +145,7 @@ StatusOr<DistributedRunStats> DistributedEngine::Run(
   }
 
   if (output != nullptr) {
-    for (auto& path : finished) {
-      output->vertices.insert(output->vertices.end(), path.begin(),
-                              path.end());
-      output->offsets.push_back(
-          static_cast<uint32_t>(output->vertices.size()));
-    }
+    core::GatherPaths(finished, output);
   }
   return stats;
 }

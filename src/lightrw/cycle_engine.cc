@@ -7,6 +7,7 @@
 
 #include "common/check.h"
 #include "common/sim_thread_pool.h"
+#include "lightrw/sharding.h"
 #include "lightrw/step_sampler.h"
 #include "lightrw/uniform_engine.h"
 #include "obs/metrics.h"
@@ -36,21 +37,18 @@ uint32_t SamplerLanes(const AcceleratorConfig& config, FetchKind kind) {
 // draws one uniform neighbor index per step from `aux_`.
 class Instance {
  public:
-  // `trace` overrides config.trace so a parallel run can hand each
-  // instance a private shard recorder (merged in instance order after
-  // the barrier) instead of contending on one shared recorder.
+  // `config` carries the instance's own sinks (see ShardSinks).
   Instance(const graph::CsrGraph* graph, const apps::WalkApp* app,
            const AcceleratorConfig& config, FetchKind kind,
-           uint32_t instance_id, uint64_t seed, uint64_t aux_seed,
-           obs::TraceRecorder* trace, obs::TimeSeriesRecorder* ts)
+           uint32_t instance_id, uint64_t seed, uint64_t aux_seed)
       : graph_(graph),
         app_(app),
         config_(config),
         kind_(kind),
         instance_id_(instance_id),
         needs_prev_(app != nullptr && app->needs_prev_neighbors()),
-        trace_(trace),
-        ts_(ts),
+        trace_(config.trace),
+        ts_(config.timeseries),
         datapath_(graph, config, kind),
         rng_(SamplerLanes(config, kind), seed),
         sampler_(SamplerLanes(config, kind), &rng_),
@@ -323,25 +321,16 @@ void Instance::PublishMetrics(Cycle makespan, uint64_t queries,
 
 // Runs `queries` on config.num_instances independent instances of one
 // fetch kind. Each instance is a shard: private datapath models, private
-// RNG streams, a private stats slot, and (when tracing) a private trace
-// shard. Workers write only their own slots, so the run is bit-identical
-// for every thread count; the metrics registry is shared but its
-// counters commute and its exposition is key-sorted.
+// RNG streams, a private stats slot, and private sinks (ShardSinks).
+// Workers write only their own slots, so the run is bit-identical for
+// every thread count.
 AccelRunStats RunInstances(const graph::CsrGraph* graph,
                            const apps::WalkApp* app,
                            const AcceleratorConfig& config, FetchKind kind,
                            std::span<const WalkQuery> queries,
                            WalkOutput* output) {
   const uint32_t n = config.num_instances;
-
-  // Round-robin query distribution across instances (paper §6.1.5:
-  // "we evenly distribute random walk queries to all instances").
-  std::vector<std::vector<WalkQuery>> shares(n);
-  std::vector<std::vector<size_t>> share_indices(n);
-  for (size_t i = 0; i < queries.size(); ++i) {
-    shares[i % n].push_back(queries[i]);
-    share_indices[i % n].push_back(i);
-  }
+  const QuerySplit split = SplitRoundRobin(queries, n);
 
   std::vector<std::vector<VertexId>> finished;
   if (output != nullptr) {
@@ -351,56 +340,33 @@ AccelRunStats RunInstances(const graph::CsrGraph* graph,
   const uint32_t threads = SimThreadPool::ResolveThreads(config.num_threads);
   std::vector<AccelRunStats> instance_stats(n);
   std::vector<Cycle> instance_makespan(n, 0);
-  std::vector<std::unique_ptr<obs::TraceRecorder>> trace_shards(n);
-  std::vector<std::unique_ptr<obs::TimeSeriesRecorder>> ts_shards(n);
+  ShardSinks sinks(config, n);
   SimThreadPool::ParallelFor(threads, n, [&](size_t i) {
-    obs::TraceRecorder* trace = config.trace;
-    if (trace != nullptr && n > 1) {
-      trace_shards[i] =
-          std::make_unique<obs::TraceRecorder>(trace->config());
-      trace = trace_shards[i].get();
-    }
-    obs::TimeSeriesRecorder* ts = config.timeseries;
-    if (ts != nullptr && n > 1) {
-      // Per-instance recorder shards on the shared scrape clock, merged
-      // per window index in instance order after the barrier.
-      ts_shards[i] =
-          std::make_unique<obs::TimeSeriesRecorder>(ts->config());
-      ts = ts_shards[i].get();
-    }
+    AcceleratorConfig instance_config = config;
+    sinks.Attach(i, &instance_config);
     // Seeds per engine: the WRS lanes and stop coins of CycleEngine, the
     // uniform pick stream of UniformCycleEngine.
     const uint64_t seed = config.seed + 0x1000003ULL * i;
     const uint64_t aux_seed = kind == FetchKind::kAdjacency
                                   ? seed ^ 0x5709ULL
                                   : config.seed + 0x7001ULL * (i + 1);
-    Instance instance(graph, app, config, kind, static_cast<uint32_t>(i),
-                      seed, aux_seed, trace, ts);
+    Instance instance(graph, app, instance_config, kind,
+                      static_cast<uint32_t>(i), seed, aux_seed);
     instance_makespan[i] =
-        instance.Run(shares[i], share_indices[i],
+        instance.Run(split.queries[i], split.tickets[i],
                      output != nullptr ? &finished : nullptr,
                      &instance_stats[i]);
   });
+  sinks.Merge();
 
   AccelRunStats stats;
   Cycle makespan = 0;
   for (uint32_t i = 0; i < n; ++i) {
     stats.Accumulate(instance_stats[i]);
     makespan = std::max(makespan, instance_makespan[i]);
-    if (trace_shards[i] != nullptr) {
-      config.trace->MergeFrom(trace_shards[i].get());
-    }
-    if (ts_shards[i] != nullptr) {
-      config.timeseries->MergeFrom(ts_shards[i].get());
-    }
   }
   if (output != nullptr) {
-    for (auto& path : finished) {
-      output->vertices.insert(output->vertices.end(), path.begin(),
-                              path.end());
-      output->offsets.push_back(
-          static_cast<uint32_t>(output->vertices.size()));
-    }
+    GatherPaths(finished, output);
   }
   stats.cycles = makespan;
   stats.seconds = static_cast<double>(makespan) / config.dram.clock_hz;

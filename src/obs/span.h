@@ -132,8 +132,8 @@ class SpanRecorder {
   void CloseTrace(uint64_t trace, uint64_t start_cycle, uint64_t end_cycle,
                   bool breached, const char* outcome);
 
-  // Absorbs a shard recorder (disjoint trace sets; merged in fixed shard
-  // order by the parallel drivers). `shard` is left empty.
+  // Absorbs a shard recorder with a disjoint trace set (core::ShardSinks
+  // merges them in shard order). `shard` is left empty.
   void MergeFrom(SpanRecorder* shard);
 
   // Snapshot of retained + still-open spans, sorted by (trace, seq) —

@@ -71,7 +71,7 @@ std::vector<Incident> DetectSeriesIncidents(const std::string& series,
       current.severity = std::max(current.severity, std::abs(z));
       if (std::abs(z) < config.anomaly_z_close) {
         ++calm;
-        if (calm >= config.anomaly_close_after) {
+        if (calm >= kAnomalyCloseAfter) {
           current.close_window = w;
           current.closed = true;
           incidents.push_back(current);
@@ -83,7 +83,7 @@ std::vector<Incident> DetectSeriesIncidents(const std::string& series,
     }
     level += config.anomaly_alpha * (x - level);
     residuals.push_back(residual);
-    while (residuals.size() > config.anomaly_mad_window) {
+    while (residuals.size() > kAnomalyMadWindow) {
       residuals.pop_front();
     }
   }
@@ -98,7 +98,6 @@ std::vector<Incident> DetectSeriesIncidents(const std::string& series,
 TimeSeriesRecorder::TimeSeriesRecorder(const TimeSeriesConfig& config)
     : config_(config) {
   LIGHTRW_CHECK(config_.scrape_interval > 0);
-  LIGHTRW_CHECK(config_.max_windows > 0);
 }
 
 void TimeSeriesRecorder::Annotate(const std::string& kind, uint64_t cycle,
@@ -175,7 +174,7 @@ void TimeSeriesRecorder::CloseWindow(uint64_t end_cycle) {
 }
 
 void TimeSeriesRecorder::TrimToRing() {
-  while (window_end_.size() > config_.max_windows) {
+  while (window_end_.size() > kMaxTimeSeriesWindows) {
     window_end_.erase(window_end_.begin());
     for (auto& [key, series] : series_) {
       switch (series.kind) {
@@ -223,7 +222,8 @@ void TimeSeriesRecorder::MergeFrom(const TimeSeriesRecorder* shard) {
   LIGHTRW_CHECK(shard != nullptr);
   LIGHTRW_CHECK(shard->config_.scrape_interval == config_.scrape_interval);
   // Ring eviction with per-shard recorders would need offset alignment;
-  // size max_windows generously instead (checked, not silently wrong).
+  // kMaxTimeSeriesWindows is sized generously instead (checked, not
+  // silently wrong).
   LIGHTRW_CHECK(shard->first_window_ == first_window_);
   const size_t target = std::max(window_end_.size(), shard->window_end_.size());
   // Grow the window index first, taking the later end per slot.

@@ -22,12 +22,10 @@
 // captured exactly); Finish(c) closes the final, possibly partial,
 // window. The result is a pure function of the configuration.
 //
-// Determinism across host thread counts follows the SpanRecorder
-// discipline: sharded engines give every shard a private recorder and
-// merge them in fixed shard order with MergeFrom() — per-window counter
-// deltas and gauge values add, histogram windows merge their samples,
-// exemplars keep the worst (ties break toward the lower trace id, then
-// the lower span id). Output is byte-identical at 1 and 4 sim threads.
+// Sharded engines record per shard and merge in shard order
+// (core::ShardSinks): per-window counter deltas and gauge values add,
+// histogram windows merge their samples, exemplars keep the worst (ties
+// break toward the lower trace id, then the lower span id).
 //
 // On top of the series, an AnomalyDetector computes a per-series robust
 // z-score (EWMA level, MAD-scaled residuals, warmup-gated) and emits
@@ -54,18 +52,21 @@ namespace lightrw::obs {
 struct TimeSeriesConfig {
   // Simulated cycles per window. Must be > 0.
   uint64_t scrape_interval = 4096;
-  // Ring-buffer capacity: when more windows close, the oldest are
-  // dropped and first_window advances.
-  uint64_t max_windows = 4096;
 
-  // Anomaly detection (see AnomalyDetector below).
+  // Anomaly detection (see DetectSeriesIncidents below).
   double anomaly_alpha = 0.3;      // EWMA smoothing factor in (0, 1]
   double anomaly_z_open = 6.0;     // |z| at or above this opens an incident
   double anomaly_z_close = 3.0;    // |z| below this counts as a calm window
   uint32_t anomaly_warmup = 4;     // windows before detection is armed
-  uint32_t anomaly_close_after = 2;  // consecutive calm windows to close
-  uint64_t anomaly_mad_window = 16;  // trailing residuals kept for the MAD
 };
+
+// Ring-buffer capacity: when more windows close, the oldest are dropped
+// and the first retained window index advances.
+inline constexpr uint64_t kMaxTimeSeriesWindows = 4096;
+// Consecutive calm windows that close an incident.
+inline constexpr uint32_t kAnomalyCloseAfter = 2;
+// Trailing residuals kept for the detector's MAD.
+inline constexpr size_t kAnomalyMadWindow = 16;
 
 // One fault/membership/slo_burn event reported by an engine (or the
 // tool) for cross-annotation against incidents.
@@ -91,8 +92,8 @@ struct Incident {
 // dividing by zero while still letting a burst register as a large,
 // finite z. Values at window w are judged against the state built from
 // windows < w, then folded in; detection is armed after `warmup`
-// windows and an incident closes after `close_after` consecutive calm
-// windows.
+// windows and an incident closes after kAnomalyCloseAfter consecutive
+// calm windows.
 std::vector<Incident> DetectSeriesIncidents(const std::string& series,
                                             const std::vector<double>& values,
                                             const TimeSeriesConfig& config);
@@ -102,7 +103,6 @@ class TimeSeriesRecorder {
   explicit TimeSeriesRecorder(const TimeSeriesConfig& config = {});
 
   const TimeSeriesConfig& config() const { return config_; }
-  uint64_t scrape_interval() const { return config_.scrape_interval; }
 
   // The live registry engines update through cached handles. Separate
   // from any --metrics-out registry: end-of-run snapshots are unchanged
@@ -119,9 +119,9 @@ class TimeSeriesRecorder {
   void Annotate(const std::string& kind, uint64_t cycle,
                 const std::string& detail);
 
-  // Fold a shard recorder into this one (fixed shard order at the call
-  // site). Window counts may differ between shards; missing windows
-  // contribute zero deltas / empty histograms.
+  // Fold a shard recorder into this one. Window counts may differ
+  // between shards; missing windows contribute zero deltas / empty
+  // histograms.
   void MergeFrom(const TimeSeriesRecorder* shard);
 
   uint64_t num_windows() const { return window_end_.size(); }

@@ -46,18 +46,6 @@ void TraceRecorder::Instant(const char* name, const char* category,
   Record(event);
 }
 
-void TraceRecorder::Value(const char* name, uint32_t pid, uint64_t cycle,
-                          double value) {
-  TraceEvent event;
-  event.phase = 'C';
-  event.name = name;
-  event.category = "counter";
-  event.pid = pid;
-  event.ts = cycle;
-  event.value = value;
-  Record(event);
-}
-
 void TraceRecorder::NameProcess(uint32_t pid, const std::string& name) {
   std::lock_guard<std::mutex> lock(mutex_);
   process_names_.emplace_back(pid, name);
@@ -147,32 +135,11 @@ Json TraceRecorder::ToJson() const {
     out.Set("ph", std::string(1, event->phase));
     out.Set("pid", static_cast<uint64_t>(event->pid));
     out.Set("tid", static_cast<uint64_t>(event->tid));
-    // The default 1:1 cycle scale emits exact integers.
-    const double ticks = config_.ticks_per_cycle;
-    if (ticks == 1.0) {
-      out.Set("ts", event->ts);
+    out.Set("ts", event->ts);
+    if (event->phase == 'X') {
+      out.Set("dur", event->dur);
     } else {
-      out.Set("ts", static_cast<double>(event->ts) * ticks);
-    }
-    switch (event->phase) {
-      case 'X':
-        if (ticks == 1.0) {
-          out.Set("dur", event->dur);
-        } else {
-          out.Set("dur", static_cast<double>(event->dur) * ticks);
-        }
-        break;
-      case 'i':
-        out.Set("s", "t");  // instant scope: thread
-        break;
-      case 'C': {
-        Json args = Json::MakeObject();
-        args.Set("value", event->value);
-        out.Set("args", std::move(args));
-        break;
-      }
-      default:
-        break;
+      out.Set("s", "t");  // instant scope: thread
     }
     trace_events.Append(std::move(out));
   }

@@ -14,7 +14,6 @@
 //   Complete  a busy interval on a track ("X" phase): DRAM request
 //             service window, burst stream, WRS consume window
 //   Instant   a point event ("i"): cache hit/miss, query retire
-//   Value     a counter series ("C"): e.g. in-flight queries
 //
 // Recording is bounded: at most `max_events` events are kept (default
 // 1M); later events are dropped and counted so big runs stay bounded in
@@ -40,21 +39,17 @@ namespace lightrw::obs {
 struct TraceConfig {
   // Hard cap on recorded events; 0 disables recording entirely.
   size_t max_events = 1u << 20;
-  // Scale from simulated cycles to trace "ts" ticks. 1.0 keeps the axis
-  // in cycles, which is what every viewer label in this repo assumes.
-  double ticks_per_cycle = 1.0;
 };
 
 // One recorded trace event (pre-serialization form).
 struct TraceEvent {
-  char phase = 'X';       // 'X' complete, 'i' instant, 'C' counter
+  char phase = 'X';       // 'X' complete, 'i' instant
   const char* name = "";  // static string: event/series name
   const char* category = "";
   uint32_t pid = 0;
   uint32_t tid = 0;
   uint64_t ts = 0;   // start, in simulated cycles
   uint64_t dur = 0;  // complete events only
-  double value = 0.0;  // counter events only
 };
 
 class TraceRecorder {
@@ -77,18 +72,14 @@ class TraceRecorder {
                 uint32_t tid, uint64_t start_cycle, uint64_t end_cycle);
   void Instant(const char* name, const char* category, uint32_t pid,
                uint32_t tid, uint64_t cycle);
-  void Value(const char* name, uint32_t pid, uint64_t cycle, double value);
 
   // Human-readable labels for the pid / (pid, tid) tracks.
   void NameProcess(uint32_t pid, const std::string& name);
   void NameTrack(uint32_t pid, uint32_t tid, const std::string& name);
 
-  // Absorbs a shard recorder: appends its events (up to this recorder's
-  // cap; the excess is counted as dropped, as if recorded here), process
-  // and track labels. The parallel engines give each shard a private
-  // recorder and merge the shards in fixed shard order, which reproduces
-  // the exact event sequence a serial run records — without any shared
-  // lock on the simulation hot path. `shard` is left empty.
+  // Absorbs a shard recorder (core::ShardSinks merges them in shard
+  // order): appends its events up to this recorder's cap, counting the
+  // excess as dropped, and its labels. `shard` is left empty.
   void MergeFrom(TraceRecorder* shard);
 
   size_t num_events() const {

@@ -5,10 +5,10 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <thread>
 
 #include "common/check.h"
+#include "obs/trace.h"
 #include "sampling/parallel_wrs.h"
 
 namespace lightrw::perf {
@@ -177,28 +177,16 @@ obs::Json PerfReport(const std::string& name,
   return report;
 }
 
-bool WritePerfReportFile(const std::string& path, const obs::Json& report) {
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "perf: cannot open %s for writing\n", path.c_str());
-    return false;
-  }
-  out << report.Dump(2) << "\n";
-  out.flush();
-  if (!out) {
-    std::fprintf(stderr, "perf: write to %s failed\n", path.c_str());
-    return false;
-  }
-  return true;
-}
-
 bool WritePerfJson(const std::string& name,
                    const std::vector<WorkloadResult>& results) {
   const char* dir = std::getenv("LIGHTRW_PERF_JSON_DIR");
   std::string path = (dir != nullptr && *dir != '\0')
                          ? std::string(dir) + "/PERF_" + name + ".json"
                          : "PERF_" + name + ".json";
-  if (!WritePerfReportFile(path, PerfReport(name, results))) {
+  const Status written =
+      obs::WriteTextFile(PerfReport(name, results).Dump(2) + "\n", path);
+  if (!written.ok()) {
+    std::fprintf(stderr, "perf: %s\n", written.ToString().c_str());
     return false;
   }
   std::printf("perf json: %s\n", path.c_str());

@@ -146,10 +146,6 @@ obs::Json PerfReport(const std::string& name,
 bool WritePerfJson(const std::string& name,
                    const std::vector<WorkloadResult>& results);
 
-// Writes an already-assembled report document to `path` verbatim
-// (walk_tool --perf-out). Returns false if the file cannot be written.
-bool WritePerfReportFile(const std::string& path, const obs::Json& report);
-
 }  // namespace lightrw::perf
 
 #endif  // LIGHTRW_PERF_PERF_HARNESS_H_

@@ -22,9 +22,11 @@
 #include "lightrw/uniform_engine.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
+#include "obs/timeseries.h"
 #include "obs/trace.h"
 #include "rng/rng.h"
 #include "sampling/parallel_wrs.h"
+#include "service/walk_service.h"
 
 namespace lightrw {
 namespace {
@@ -371,6 +373,118 @@ TEST(GoldenEngineTest, PartitionedDistributedWithLinkFaults) {
   EXPECT_EQ(span_digest, 325856582612599292ULL) << std::hex << span_digest;
   EXPECT_EQ(metrics_digest, 9267162221523730051ULL)
       << std::hex << metrics_digest;
+}
+
+// --- Sharded merge pins ----------------------------------------------------
+//
+// Replicated DistributedEngine and multi-shard WalkService runs give each
+// shard private sinks and merge them back in shard order. A 1-vs-4-thread
+// comparison cannot see a change in that order (both merge the same way),
+// so these pins hold every export of a 4-shard run to fixed digests.
+
+obs::TimeSeriesConfig PinTimeSeriesConfig() {
+  obs::TimeSeriesConfig config;
+  config.scrape_interval = 1024;
+  return config;
+}
+
+struct ShardedSinks {
+  obs::TraceRecorder trace;
+  obs::SpanRecorder spans;
+  obs::TimeSeriesRecorder timeseries{PinTimeSeriesConfig()};
+  obs::MetricsRegistry metrics;
+
+  void Attach(core::AcceleratorConfig* board) {
+    board->trace = &trace;
+    board->spans = &spans;
+    board->timeseries = &timeseries;
+    board->metrics = &metrics;
+  }
+
+  void ExpectDigests(uint64_t trace_digest, uint64_t span_digest,
+                     uint64_t ts_digest, uint64_t om_digest,
+                     uint64_t metrics_digest) const {
+    const uint64_t t = Fnv1a(trace.ToJsonString());
+    const uint64_t s = Fnv1a(spans.ToJsonString());
+    const uint64_t ts = Fnv1a(timeseries.ToJsonString());
+    const uint64_t om = Fnv1a(timeseries.ToOpenMetricsText());
+    const uint64_t m = Fnv1a(metrics.ToJsonString());
+    EXPECT_EQ(t, trace_digest) << std::hex << t;
+    EXPECT_EQ(s, span_digest) << std::hex << s;
+    EXPECT_EQ(ts, ts_digest) << std::hex << ts;
+    EXPECT_EQ(om, om_digest) << std::hex << om;
+    EXPECT_EQ(m, metrics_digest) << std::hex << m;
+  }
+};
+
+TEST(GoldenEngineTest, ReplicatedDistributedShardMerge) {
+  const graph::CsrGraph g = PinGraph();
+  const apps::Node2VecApp app(2.0, 0.5);
+  const distributed::Partition partition = distributed::MakePartition(
+      g, 4, distributed::PartitionStrategy::kHash);
+  ShardedSinks sinks;
+  distributed::DistributedConfig config;
+  config.board = PinConfig();
+  config.board.num_instances = 1;
+  config.replicate_graph = true;
+  config.inflight_walkers_per_board = 8;
+  sinks.Attach(&config.board);
+  const auto queries = apps::MakeVertexQueries(g, /*length=*/12,
+                                               /*seed=*/4, /*limit=*/160);
+  baseline::WalkOutput output;
+  const distributed::DistributedRunStats s =
+      distributed::DistributedEngine(&g, &app, &partition, config)
+          .Run(queries, &output)
+          .value();
+  std::ostringstream out;
+  out << "cycles=" << s.cycles << " queries=" << s.queries
+      << " steps=" << s.steps << " migrations=" << s.migrations
+      << Summarize(s.dram);
+  EXPECT_EQ(out.str(),
+            "cycles=21324 queries=160 steps=1920 migrations=0 "
+            "dram=12681/13735/879040/26484/758272");
+  const uint64_t path_digest = PathDigest(output);
+  EXPECT_EQ(path_digest, 11944909507439918592ULL) << std::hex << path_digest;
+  sinks.ExpectDigests(2650961165939997633ULL, 6928232261327488086ULL,
+                      971304283991302258ULL, 2660891115792387981ULL,
+                      5245895142555606289ULL);
+}
+
+TEST(GoldenEngineTest, ShardedServiceMerge) {
+  const graph::CsrGraph g = PinGraph();
+  const apps::StaticWalkApp app;
+  const distributed::Partition partition = distributed::MakePartition(
+      g, 4, distributed::PartitionStrategy::kHash);
+  ShardedSinks sinks;
+  service::ServiceConfig config;
+  config.cluster.board = PinConfig();
+  config.cluster.board.num_instances = 1;
+  config.cluster.replicate_graph = true;
+  config.admission_shards = 4;
+  config.arrivals.seed = 7;
+  config.arrivals.num_queries = 192;
+  config.arrivals.walk_length = 12;
+  config.arrivals.rate_per_kcycle = 8.0;
+  config.arrivals.deadline_cycles = 1 << 13;
+  config.queue_capacity = 4;
+  config.cluster.inflight_walkers_per_board = 4;
+  sinks.Attach(&config.cluster.board);
+  service::WalkService walk_service(&g, &app, &partition, config);
+  baseline::WalkOutput output;
+  const service::ServiceRunStats s = walk_service.Run(&output).value();
+  std::ostringstream out;
+  out << "cycles=" << s.cycles << " completed=" << s.completed
+      << " shed=" << s.Shed() << " violations=" << s.deadline_violations
+      << " retries=" << s.retries << " degraded=" << s.degraded
+      << " steps=" << s.cluster.steps << Summarize(s.cluster.dram);
+  EXPECT_EQ(out.str(),
+            "cycles=28348 completed=183 shed=9 violations=0 retries=67 "
+            "degraded=161 steps=1230 dram=8366/9234/590976/17656/508336");
+  const uint64_t path_digest = PathDigest(output);
+  EXPECT_EQ(path_digest, 13508675393605912360ULL) << std::hex << path_digest;
+  sinks.ExpectDigests(14328763174888448026ULL, 358125841536239749ULL,
+                      226770647010020883ULL, 16899922663312449255ULL,
+                      17185055766560404712ULL);
 }
 
 }  // namespace

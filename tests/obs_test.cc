@@ -249,15 +249,14 @@ TEST(TraceTest, RecordsAndExportsEvents) {
   trace.NameTrack(0, 1, "fetch");
   trace.Complete("burst", "dram", 0, 1, 10, 25);
   trace.Instant("hit", "cache", 0, 0, 12);
-  trace.Value("inflight", 0, 14, 3.0);
-  EXPECT_EQ(trace.num_events(), 3u);
+  EXPECT_EQ(trace.num_events(), 2u);
 
   const auto parsed = Json::Parse(trace.ToJsonString());
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   const Json* events = parsed.value().Find("traceEvents");
   ASSERT_NE(events, nullptr);
-  // 2 metadata records + 3 events.
-  ASSERT_EQ(events->size(), 5u);
+  // 2 metadata records + 2 events.
+  ASSERT_EQ(events->size(), 4u);
   // Metadata first, then events sorted by ts.
   EXPECT_EQ(events->array()[0].Find("ph")->string_value(), "M");
   EXPECT_EQ(events->array()[1].Find("ph")->string_value(), "M");
@@ -265,7 +264,6 @@ TEST(TraceTest, RecordsAndExportsEvents) {
   EXPECT_EQ(events->array()[2].Find("ts")->uint_value(), 10u);
   EXPECT_EQ(events->array()[2].Find("dur")->uint_value(), 15u);
   EXPECT_EQ(events->array()[3].Find("name")->string_value(), "hit");
-  EXPECT_EQ(events->array()[4].Find("name")->string_value(), "inflight");
 }
 
 TEST(TraceTest, EventCapIsHonored) {

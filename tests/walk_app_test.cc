@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "apps/walk_app.h"
+#include "apps/weighted_metapath.h"
 #include "graph/builder.h"
 
 namespace lightrw::apps {
@@ -147,6 +148,53 @@ TEST(VertexQueriesTest, ShuffledAndTruncated) {
   EXPECT_TRUE(shuffled);
   const auto capped = MakeVertexQueries(g, 3, 42, /*max_queries=*/10);
   EXPECT_EQ(capped.size(), 10u);
+}
+
+graph::CsrGraph MakeRelationGraph() {
+  graph::GraphBuilder builder(3, false);
+  builder.AddEdge(0, 1, /*weight=*/2, /*relation=*/1);
+  builder.AddEdge(0, 2, /*weight=*/2, /*relation=*/2);
+  return std::move(builder).Build();
+}
+
+TEST(WeightedMetaPathTest, BinaryTablesMatchPlainMetaPath) {
+  const graph::CsrGraph g = MakeRelationGraph();
+  const std::vector<graph::Relation> path = {1, 2};
+  const MetaPathApp plain(path);
+  const auto weighted = WeightedMetaPathApp::FromRelationPath(path);
+  WalkState state;
+  state.curr = 0;
+  for (uint32_t step = 0; step < 3; ++step) {
+    state.step = step;
+    for (graph::VertexId dst : {1u, 2u}) {
+      for (graph::Relation r : {1, 2}) {
+        EXPECT_EQ(plain.DynamicWeight(g, state, dst, 2, r),
+                  weighted.DynamicWeight(g, state, dst, 2, r))
+            << "step " << step << " rel " << int(r);
+      }
+    }
+  }
+}
+
+TEST(WeightedMetaPathTest, GradedRelationWeights) {
+  const graph::CsrGraph g = MakeRelationGraph();
+  WeightedMetaPathApp::RelationTable table{};
+  table[1] = 3;  // prefer relation 1 3:1 over relation 2
+  table[2] = 1;
+  WeightedMetaPathApp app({table});
+  WalkState state;
+  state.step = 0;
+  EXPECT_EQ(app.DynamicWeight(g, state, 1, 2, 1), 6u);
+  EXPECT_EQ(app.DynamicWeight(g, state, 2, 2, 2), 2u);
+  EXPECT_EQ(app.DynamicWeight(g, state, 2, 2, 0), 0u);
+  state.step = 1;  // beyond the path
+  EXPECT_EQ(app.DynamicWeight(g, state, 1, 2, 1), 0u);
+}
+
+TEST(WeightedMetaPathTest, PathLength) {
+  const auto app = WeightedMetaPathApp::FromRelationPath({1, 2, 1});
+  EXPECT_EQ(app.path_length(), 3u);
+  EXPECT_EQ(app.name(), "WeightedMetaPath");
 }
 
 }  // namespace
