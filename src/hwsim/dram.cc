@@ -7,24 +7,65 @@
 
 namespace lightrw::hwsim {
 
+namespace {
+
+Cycle BeatCycles(uint32_t burst_beats, double efficiency) {
+  return static_cast<Cycle>(std::llround(
+      std::ceil(static_cast<double>(burst_beats) / efficiency)));
+}
+
+}  // namespace
+
 DramChannel::DramChannel(const DramConfig& config) : config_(config) {
   LIGHTRW_CHECK(config.bus_bytes >= 1);
   LIGHTRW_CHECK(config.issue_gap_cycles >= 1);
   LIGHTRW_CHECK(config.efficiency > 0.0 && config.efficiency <= 1.0);
   LIGHTRW_CHECK(config.clock_hz > 0.0);
   LIGHTRW_CHECK(config.num_banks >= 1);
+  for (uint32_t beats = 0; beats <= kTransferTableBeats; ++beats) {
+    transfer_cycles_[beats] = BeatCycles(beats, config.efficiency);
+  }
   bank_busy_.assign(config.num_banks, 0);
+}
+
+Cycle DramChannel::TransferCycles(uint32_t burst_beats) const {
+  return burst_beats <= kTransferTableBeats
+             ? transfer_cycles_[burst_beats]
+             : BeatCycles(burst_beats, config_.efficiency);
 }
 
 Cycle DramChannel::RequestOccupancy(uint32_t burst_beats) const {
   LIGHTRW_CHECK(burst_beats >= 1);
   // A request occupies the channel for its data beats (derated by the
   // steady-state efficiency) but never less than the issue gap.
-  const double beat_cycles =
-      static_cast<double>(burst_beats) / config_.efficiency;
-  const double occupancy =
-      std::max<double>(beat_cycles, config_.issue_gap_cycles);
-  return static_cast<Cycle>(std::llround(std::ceil(occupancy)));
+  return std::max<Cycle>(TransferCycles(burst_beats),
+                         config_.issue_gap_cycles);
+}
+
+Cycle DramChannel::IssueCommand(Cycle ready) {
+  const size_t n = bank_busy_.size();
+  const Cycle issue_done =
+      std::max(ready, bank_busy_[bank_head_]) + config_.issue_gap_cycles;
+  const size_t tail = (bank_head_ == 0 ? n : bank_head_) - 1;
+  if (issue_done >= bank_busy_[tail]) {
+    // The head bank becomes the latest: its slot is the new tail.
+    bank_busy_[bank_head_] = issue_done;
+    bank_head_ = bank_head_ + 1 == n ? 0 : bank_head_ + 1;
+    return issue_done;
+  }
+  // Slide the horizons below issue_done one slot toward the head and put
+  // issue_done in the gap. Stops before the tail, which is later.
+  size_t slot = bank_head_;
+  for (;;) {
+    const size_t next = slot + 1 == n ? 0 : slot + 1;
+    if (bank_busy_[next] >= issue_done) {
+      break;
+    }
+    bank_busy_[slot] = bank_busy_[next];
+    slot = next;
+  }
+  bank_busy_[slot] = issue_done;
+  return issue_done;
 }
 
 Cycle DramChannel::Access(Cycle ready, uint32_t burst_beats) {
@@ -79,17 +120,41 @@ Cycle DramChannel::Access(Cycle ready, uint32_t burst_beats) {
   }
 }
 
+Cycle DramChannel::AccessGroup(Cycle ready, uint32_t burst_beats,
+                               uint32_t count) {
+  Cycle done = ready;
+  if (trace_ != nullptr || (faults_ != nullptr && faults_->enabled())) {
+    for (uint32_t i = 0; i < count; ++i) {
+      done = std::max(done, Access(ready, burst_beats));
+    }
+    return done;
+  }
+  if (count == 0) {
+    return done;
+  }
+  LIGHTRW_CHECK(burst_beats >= 1);
+  // Each request's data completes after the previous one's, so the
+  // group's completion is the last request's.
+  const Cycle transfer_cycles = TransferCycles(burst_beats);
+  Cycle bus = bus_busy_;
+  for (uint32_t i = 0; i < count; ++i) {
+    bus = std::max(IssueCommand(ready), bus) + transfer_cycles;
+  }
+  bus_busy_ = bus;
+  stats_.requests += count;
+  stats_.beats += static_cast<uint64_t>(burst_beats) * count;
+  stats_.bytes +=
+      static_cast<uint64_t>(burst_beats) * count * config_.bus_bytes;
+  stats_.busy_cycles += transfer_cycles * count;
+  return bus + config_.access_latency_cycles;
+}
+
 Cycle DramChannel::AccessOnce(Cycle ready, uint32_t burst_beats) {
   LIGHTRW_CHECK(burst_beats >= 1);
   // Command issue occupies the least-loaded bank for one issue gap; the
   // data transfer then occupies the shared bus for the burst's beats.
-  auto bank = std::min_element(bank_busy_.begin(), bank_busy_.end());
-  const Cycle issue_start = std::max(ready, *bank);
-  const Cycle issue_done = issue_start + config_.issue_gap_cycles;
-  *bank = issue_done;
-
-  const Cycle transfer_cycles = static_cast<Cycle>(std::llround(
-      std::ceil(static_cast<double>(burst_beats) / config_.efficiency)));
+  const Cycle issue_done = IssueCommand(ready);
+  const Cycle transfer_cycles = TransferCycles(burst_beats);
   const Cycle transfer_start = std::max(issue_done, bus_busy_);
   bus_busy_ = transfer_start + transfer_cycles;
 

@@ -14,6 +14,8 @@
 #ifndef LIGHTRW_HWSIM_DRAM_H_
 #define LIGHTRW_HWSIM_DRAM_H_
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -76,7 +78,13 @@ struct DramStats {
 // and a burst length in beats, it returns when the last beat of data
 // arrives. A request occupies the least-loaded bank for the issue gap and
 // then the data bus for its beats; with one bank this degenerates to a
-// strictly serial channel. Deterministic and O(num_banks) per request.
+// strictly serial channel. Deterministic; O(1) per request when the
+// request's bank horizon is the latest, O(num_banks) otherwise.
+//
+// No caller sees a bank index, so the bank state is the multiset of bank
+// horizons. It is kept as a ring sorted from the head: the least-loaded
+// bank is the head, and a new horizon at or past the tail (the common
+// case) just advances the head.
 class DramChannel {
  public:
   explicit DramChannel(const DramConfig& config);
@@ -94,6 +102,14 @@ class DramChannel {
   // through TakeAccessFailure), still returning the modeled completion
   // cycle of the final attempt.
   Cycle Access(Cycle ready, uint32_t burst_beats);
+
+  // Issues `count` requests of `burst_beats` beats, all ready at `ready`.
+  // Returns the latest completion cycle (`ready` when `count` is 0) and
+  // leaves the same bus horizon, bank horizons and stats as `count`
+  // back-to-back Access(ready, burst_beats) calls; it is that loop when a
+  // trace or an enabled fault stream is attached, so trace events and the
+  // ECC draw order are per burst. Otherwise stats are added once.
+  Cycle AccessGroup(Cycle ready, uint32_t burst_beats, uint32_t count);
 
   // Attributes `bytes` of the most recent traffic as useful (consumed by
   // the compute pipeline rather than fetched-and-dropped).
@@ -144,11 +160,23 @@ class DramChannel {
   }
 
  private:
+  // Burst lengths up to this many beats read their transfer cycles from
+  // a table built with the channel.
+  static constexpr uint32_t kTransferTableBeats = 64;
+
   // One physical request issue: timing, stats, and trace, no faults.
   Cycle AccessOnce(Cycle ready, uint32_t burst_beats);
+  // Occupies the least-loaded bank for one issue gap starting no earlier
+  // than `ready`; returns the cycle the gap ends.
+  Cycle IssueCommand(Cycle ready);
+  // Data-bus cycles of one burst: its beats derated by the efficiency.
+  Cycle TransferCycles(uint32_t burst_beats) const;
 
   DramConfig config_;
+  std::array<Cycle, kTransferTableBeats + 1> transfer_cycles_;  // by beats
+  // Bank horizons, ascending from bank_head_ around the ring.
   std::vector<Cycle> bank_busy_;
+  size_t bank_head_ = 0;
   Cycle bus_busy_ = 0;
   DramStats stats_;
   obs::TraceRecorder* trace_ = nullptr;

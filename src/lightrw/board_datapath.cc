@@ -155,13 +155,9 @@ Cycle BoardDatapath::StagedSampler(Cycle t_fetch, Cycle last_data,
   const uint32_t table_beats = static_cast<uint32_t>(CeilDiv(table_bytes, bus));
   const uint32_t probes = CeilLog2(static_cast<uint64_t>(degree) + 1);
 
-  Cycle booked = t_fetch;
-  booked = std::max(booked, channel_.Access(t_fetch, weight_beats));
-  booked = std::max(booked, channel_.Access(t_fetch, weight_beats));
+  Cycle booked = channel_.AccessGroup(t_fetch, weight_beats, 2);
   booked = std::max(booked, channel_.Access(t_fetch, table_beats));
-  for (uint32_t i = 0; i < probes; ++i) {
-    booked = std::max(booked, channel_.Access(t_fetch, 1));
-  }
+  booked = std::max(booked, channel_.AccessGroup(t_fetch, 1, probes));
 
   const auto transfer_latency = [&](uint32_t beats) {
     return channel_.RequestOccupancy(beats) +

@@ -61,11 +61,4 @@ void ThunderingRng::Reseed(size_t num_streams, uint64_t seed) {
   }
 }
 
-void ThunderingRng::NextBatch(std::span<uint32_t> out) {
-  LIGHTRW_CHECK_EQ(out.size(), states_.size());
-  for (size_t i = 0; i < out.size(); ++i) {
-    out[i] = Next(i);
-  }
-}
-
 }  // namespace lightrw::rng

@@ -96,10 +96,6 @@ class ThunderingRng {
     return static_cast<double>(Next(stream)) * 0x1.0p-32;
   }
 
-  // Draws one output from every stream, as the hardware does per cycle.
-  // out.size() must equal num_streams().
-  void NextBatch(std::span<uint32_t> out);
-
   // The shared LCG (Knuth's MMIX multiplier; full period mod 2^64) and
   // the decorrelator's two xorshift distances. Vectorized consumers of
   // Lanes() must apply exactly these, in the order Next() does.

@@ -96,15 +96,6 @@ TEST(ThunderingRngTest, StreamsAdvanceIndependently) {
   }
 }
 
-TEST(ThunderingRngTest, NextBatchMatchesPerStreamDraws) {
-  ThunderingRng a(8, 42), b(8, 42);
-  std::vector<uint32_t> batch(8);
-  a.NextBatch(batch);
-  for (size_t s = 0; s < 8; ++s) {
-    EXPECT_EQ(batch[s], b.Next(s));
-  }
-}
-
 TEST(ThunderingRngTest, EachStreamUniform) {
   constexpr size_t kStreams = 8;
   ThunderingRng rng(kStreams, 2024);
