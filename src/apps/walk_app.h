@@ -121,10 +121,28 @@ class Node2VecApp : public WalkApp {
                        VertexId dst, Weight static_weight,
                        Relation relation) const override;
 
-  // Streams the chunk past N(prev) with one forward cursor instead of a
-  // HasEdge search per edge; both lists are sorted by destination.
+  // DynamicWeights takes the block merge while the N(prev) window (its
+  // entries from the range's first destination on) holds at most
+  // kMaxBlockWindowPerEdge entries per destination, and the galloping
+  // merge past that: a hub's N(prev) against a short N(curr).
+  static constexpr size_t kMaxBlockWindowPerEdge = 16;
+
+  // Streams the range past N(prev) in one forward pass instead of a
+  // HasEdge search per edge; both lists are sorted by destination. Takes
+  // the AVX-512 block merge where the host has it and the window is in
+  // bounds, else the galloping merge. DESIGN.md "Weight updater".
   void DynamicWeights(const CsrGraph& graph, const WalkState& state,
                       uint32_t offset, std::span<Weight> out) const override;
+
+  // DynamicWeights on the galloping merge, whatever the host and the
+  // window: the fallback and the differential oracle of the block merge.
+  void DynamicWeightsGalloping(const CsrGraph& graph, const WalkState& state,
+                               uint32_t offset, std::span<Weight> out) const;
+
+  // DynamicWeights on the AVX-512 block merge, whatever the window.
+  // Returns false, having written nothing, when the host lacks AVX-512.
+  bool DynamicWeightsBlocks(const CsrGraph& graph, const WalkState& state,
+                            uint32_t offset, std::span<Weight> out) const;
 
   bool needs_prev_neighbors() const override { return true; }
 

@@ -1,5 +1,4 @@
-// Graph transformations: reversal, degree-sorted relabeling, and subgraph
-// extraction.
+// Graph transformation: degree-sorted relabeling.
 //
 // Degree-sorted relabeling is the preprocessing alternative to the
 // degree-aware cache that the paper contrasts in §5.1 (Balaji & Lucia):
@@ -16,9 +15,6 @@
 
 namespace lightrw::graph {
 
-// Returns the reverse graph (every edge (u, v, w, r) becomes (v, u, w, r)).
-CsrGraph ReverseGraph(const CsrGraph& graph);
-
 // The result of a relabeling transform.
 struct RelabeledGraph {
   CsrGraph graph;
@@ -31,12 +27,6 @@ struct RelabeledGraph {
 // Renumbers vertices in descending degree order (ties by original id) and
 // rebuilds the CSR with translated endpoints and preserved attributes.
 RelabeledGraph SortByDegree(const CsrGraph& graph);
-
-// Extracts the subgraph induced by vertices whose label is in `labels`,
-// densely renumbered. Edges with either endpoint outside the set are
-// dropped.
-RelabeledGraph InducedSubgraphByLabels(const CsrGraph& graph,
-                                       std::span<const Label> labels);
 
 }  // namespace lightrw::graph
 

@@ -124,8 +124,11 @@ WorkloadResult MeasureWorkload(const std::string& name,
 // {"sim_threads": ..., "hardware_concurrency": ..., "compiler": ...,
 //  "build": "release"|"debug", "pointer_bits": ...,
 //  "pwrs_kernel": "avx512"|"scalar"}. sim_threads is the resolved
-// LIGHTRW_SIM_THREADS value the engines will use; pwrs_kernel is the
-// PWRS sampler path this host runs.
+// LIGHTRW_SIM_THREADS value the engines will use; pwrs_kernel names the
+// path this host runs for both SIMD kernels, which share one CPU probe
+// (HostHasAvx512Kernel): the PWRS sampler's stream kernel and Node2Vec's
+// block merge (avx512), or the PWRS reference lanes and the galloping
+// merge (scalar).
 obs::Json HostContext();
 
 // One workload as a JSON object (schema documented in DESIGN.md):

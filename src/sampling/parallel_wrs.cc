@@ -7,9 +7,9 @@
 #include <utility>
 
 #include "common/check.h"
+#include "common/cpu_features.h"
 
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define LIGHTRW_PWRS_AVX512 1
+#ifdef LIGHTRW_AVX512_KERNELS
 #include <immintrin.h>
 #endif
 
@@ -17,21 +17,7 @@ namespace lightrw::sampling {
 
 namespace {
 
-bool HostHasAvx512Kernel() {
-#ifdef LIGHTRW_PWRS_AVX512
-  static const bool supported = [] {
-    __builtin_cpu_init();
-    return __builtin_cpu_supports("avx512f") &&
-           __builtin_cpu_supports("avx512dq") &&
-           __builtin_cpu_supports("avx512vl");
-  }();
-  return supported;
-#else
-  return false;
-#endif
-}
-
-#ifdef LIGHTRW_PWRS_AVX512
+#ifdef LIGHTRW_AVX512_KERNELS
 
 // Lanes per vector: one 512-bit vector of 64-bit lanes.
 constexpr size_t kVectorLanes = 8;
@@ -50,9 +36,6 @@ constexpr uint64_t kKernelSumLimit = uint64_t{1} << 32;
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #pragma GCC diagnostic ignored "-Wuninitialized"
 #endif
-
-#define LIGHTRW_PWRS_TARGET \
-  __attribute__((target("avx512f,avx512dq,avx512vl")))
 
 using Rng = rng::ThunderingRng;
 
@@ -74,10 +57,10 @@ inline __mmask8 VectorMask(size_t lanes, size_t v) {
 // reach kKernelSumLimit. Otherwise sets *total to the stream sum and
 // *picked to the highest selected stream index, or kNoSample.
 template <size_t kVectors>
-LIGHTRW_PWRS_TARGET bool StreamKernel(const Weight* weights, size_t n,
-                                      size_t k, uint64_t weight_sum,
-                                      Rng::LaneView lanes, uint64_t* total,
-                                      size_t* picked) {
+LIGHTRW_AVX512_TARGET bool StreamKernel(const Weight* weights, size_t n,
+                                        size_t k, uint64_t weight_sum,
+                                        Rng::LaneView lanes, uint64_t* total,
+                                        size_t* picked) {
   __m512i state[kVectors];
   __m512i offset[kVectors];
   __m512i mult[kVectors];
@@ -158,8 +141,6 @@ LIGHTRW_PWRS_TARGET bool StreamKernel(const Weight* weights, size_t n,
   return true;
 }
 
-#undef LIGHTRW_PWRS_TARGET
-
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC diagnostic pop
 #endif
@@ -176,7 +157,7 @@ constexpr std::array<StreamKernelFn, sizeof...(V)> MakeStreamKernels(
 constexpr auto kStreamKernels =
     MakeStreamKernels(std::make_index_sequence<kMaxVectors>());
 
-#endif  // LIGHTRW_PWRS_AVX512
+#endif  // LIGHTRW_AVX512_KERNELS
 
 }  // namespace
 
@@ -198,7 +179,7 @@ ParallelWrsSampler::ParallelWrsSampler(size_t k, rng::ThunderingRng* rng,
 bool ParallelWrsSampler::OfferStream(
     [[maybe_unused]] std::span<const Weight> weights,
     [[maybe_unused]] size_t lanes, [[maybe_unused]] size_t base_index) {
-#ifdef LIGHTRW_PWRS_AVX512
+#ifdef LIGHTRW_AVX512_KERNELS
   const size_t n = weights.size();
   // Past 2^32 - 1 weights the 64-bit carry itself could wrap.
   if (!simd_ || lanes == 0 || lanes > kMaxKernelLanes ||

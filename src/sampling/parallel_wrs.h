@@ -88,7 +88,8 @@ class ParallelWrsSampler {
   uint64_t batches_consumed_ = 0;
 };
 
-// "avx512" when this host runs the SIMD PWRS kernel, else "scalar".
+// "avx512" when this host runs the SIMD PWRS kernel (and, by the same
+// probe, Node2Vec's block merge), else "scalar".
 const char* PwrsKernelName();
 
 }  // namespace lightrw::sampling

@@ -5,11 +5,16 @@
 // self-loop inputs, hubs next to low-degree vertices, isolated vertices,
 // weights near UINT32_MAX / kWeightScale) and on adversarial walk states
 // (prev == curr, dst == prev, prev of degree 0, no prev yet), for every
-// chunk start at k = 1, 8, 16 and 64. A second check runs whole walks
-// through StepSampler (one DynamicWeights call and one SIMD SampleAll
-// stream per step) and through a reference sampler that feeds the
-// per-edge loop to the scalar PWRS lanes batch by batch; paths and RNG
-// stream states must agree.
+// chunk start at k = 1, 8, 16 and 64 and for ranges running to the end of
+// the adjacency. Node2Vec's two merges are called explicitly too: the
+// galloping merge everywhere and the AVX-512 block merge where the host
+// has it, whatever the N(prev) window. Graphs built around the block
+// merge's cutoff put N(prev) windows at and next to
+// kMaxBlockWindowPerEdge * |range| and N(prev) entries on every block's
+// last destination. A second check runs whole walks through StepSampler
+// (one DynamicWeights call and one SIMD SampleAll stream per step) and
+// through a reference sampler that feeds the per-edge loop to the scalar
+// PWRS lanes batch by batch; paths and RNG stream states must agree.
 
 #include <algorithm>
 #include <cstddef>
@@ -156,33 +161,106 @@ std::vector<WalkState> StatesFor(const CsrGraph& graph, VertexId curr,
   return states;
 }
 
-// Checks DynamicWeights at every start offset of curr's adjacency and
-// every chunk size against the per-edge definition, and that it writes
-// exactly out.size() entries.
-void ExpectChunksMatch(const CsrGraph& graph, const WalkApp& app,
-                       const WalkState& state) {
+// The ways a range of weights can be filled: the app's DynamicWeights
+// (what the engines call), and Node2Vec's two merges called directly.
+enum class Path { kDispatch, kGalloping, kBlocks };
+
+constexpr Path kPaths[] = {Path::kDispatch, Path::kGalloping, Path::kBlocks};
+
+const char* PathName(Path path) {
+  switch (path) {
+    case Path::kDispatch:
+      return "DynamicWeights";
+    case Path::kGalloping:
+      return "galloping";
+    case Path::kBlocks:
+      return "blocks";
+  }
+  return "?";
+}
+
+// Fills `out` with neighbors [offset, offset + out.size()) of state.curr
+// through `path`. Returns false, having run nothing, when the path does
+// not apply: a merge path for an app other than Node2Vec, or the block
+// merge on a host without AVX-512.
+bool Fill(const CsrGraph& graph, const WalkApp& app, Path path,
+          const WalkState& state, uint32_t offset, std::span<Weight> out) {
+  const auto* node2vec = dynamic_cast<const Node2VecApp*>(&app);
+  switch (path) {
+    case Path::kDispatch:
+      app.DynamicWeights(graph, state, offset, out);
+      return true;
+    case Path::kGalloping:
+      if (node2vec == nullptr) {
+        return false;
+      }
+      node2vec->DynamicWeightsGalloping(graph, state, offset, out);
+      return true;
+    case Path::kBlocks:
+      return node2vec != nullptr &&
+             node2vec->DynamicWeightsBlocks(graph, state, offset, out);
+  }
+  return false;
+}
+
+// The per-edge weights of state.curr's whole adjacency.
+std::vector<Weight> PerEdgeWeights(const CsrGraph& graph, const WalkApp& app,
+                                   const WalkState& state) {
   const auto neighbors = graph.Neighbors(state.curr);
   const auto weights = graph.NeighborWeights(state.curr);
   const auto relations = graph.NeighborRelations(state.curr);
-  const uint32_t degree = graph.Degree(state.curr);
-  std::vector<Weight> expected(degree);
-  for (uint32_t j = 0; j < degree; ++j) {
+  std::vector<Weight> expected(neighbors.size());
+  for (size_t j = 0; j < neighbors.size(); ++j) {
     expected[j] = app.DynamicWeight(graph, state, neighbors[j], weights[j],
                                     relations[j]);
   }
+  return expected;
+}
+
+// Checks every path that applies on neighbors [offset, offset + n) of
+// state.curr against the per-edge `expected`, and that each writes
+// exactly n entries.
+void ExpectRangeMatches(const CsrGraph& graph, const WalkApp& app,
+                        const WalkState& state, uint32_t offset, size_t n,
+                        std::span<const Weight> expected) {
   std::vector<Weight> buffer;
+  for (const Path path : kPaths) {
+    buffer.assign(n + 1, kCanary);
+    if (!Fill(graph, app, path, state, offset, {buffer.data(), n})) {
+      continue;
+    }
+    for (size_t j = 0; j < n; ++j) {
+      ASSERT_EQ(buffer[j], expected[offset + j])
+          << app.name() << " " << PathName(path) << " offset=" << offset
+          << " n=" << n << " j=" << j << " curr=" << state.curr
+          << " prev=" << state.prev << " step=" << state.step;
+    }
+    ASSERT_EQ(buffer[n], kCanary)
+        << app.name() << " " << PathName(path) << " wrote past the range";
+  }
+}
+
+// Checks every path at every start offset of curr's adjacency and every
+// chunk size, and on ranges that run to the end of the adjacency (every
+// start up to 40, then every 97th), against the per-edge definition.
+void ExpectChunksMatch(const CsrGraph& graph, const WalkApp& app,
+                       const WalkState& state) {
+  const uint32_t degree = graph.Degree(state.curr);
+  const std::vector<Weight> expected = PerEdgeWeights(graph, app, state);
   for (const size_t k : kChunkSizes) {
     for (uint32_t offset = 0; offset < degree; ++offset) {
-      const size_t n = std::min<size_t>(k, degree - offset);
-      buffer.assign(n + 1, kCanary);
-      app.DynamicWeights(graph, state, offset, {buffer.data(), n});
-      for (size_t j = 0; j < n; ++j) {
-        ASSERT_EQ(buffer[j], expected[offset + j])
-            << app.name() << " k=" << k << " offset=" << offset << " j=" << j
-            << " curr=" << state.curr << " prev=" << state.prev
-            << " step=" << state.step;
+      ExpectRangeMatches(graph, app, state, offset,
+                         std::min<size_t>(k, degree - offset), expected);
+      if (testing::Test::HasFatalFailure()) {
+        return;
       }
-      ASSERT_EQ(buffer[n], kCanary) << app.name() << " wrote past the chunk";
+    }
+  }
+  for (uint32_t offset = 0; offset < degree;
+       offset += offset < 40 ? 1 : 97) {
+    ExpectRangeMatches(graph, app, state, offset, degree - offset, expected);
+    if (testing::Test::HasFatalFailure()) {
+      return;
     }
   }
 }
@@ -260,6 +338,113 @@ TEST(DynamicWeightsTest, Node2VecClassifiesReturnAdjacentAndDistant) {
   std::vector<Weight> out(4);
   app.DynamicWeights(graph, {1, 0, 2}, 0, out);
   EXPECT_EQ(out, (std::vector<Weight>{3 * 512, 3 * 128, 3 * 256, 3 * 512}));
+}
+
+// curr = 0 has `curr_degree` neighbors, the first at kFirstDst. prev = 1
+// has exactly `window` neighbors at or after kFirstDst (its N(prev)
+// window for curr's whole adjacency) and a few below it. N(prev) holds
+// the last destination of every 16-edge block of N(curr) and about a
+// quarter of the rest of N(curr); the other window entries lie outside
+// N(curr). Every other vertex, the top one included, is isolated.
+constexpr VertexId kFirstDst = 64;
+
+CsrGraph CutoffGraph(uint64_t seed, uint32_t curr_degree, uint32_t window,
+                     WeightRange range) {
+  constexpr VertexId kVertices = 4096;
+  constexpr size_t kBlock = 16;
+  rng::Xoshiro256StarStar gen(seed);
+  const auto draw = [&] {
+    return static_cast<VertexId>(kFirstDst + 1 +
+                                 gen.NextBounded(kVertices - kFirstDst - 2));
+  };
+  std::vector<bool> in_curr(kVertices, false);
+  std::vector<VertexId> dsts = {kFirstDst};
+  in_curr[kFirstDst] = true;
+  while (dsts.size() < curr_degree) {
+    const VertexId v = draw();
+    if (!in_curr[v]) {
+      in_curr[v] = true;
+      dsts.push_back(v);
+    }
+  }
+  std::sort(dsts.begin(), dsts.end());
+  std::vector<bool> in_prev(kVertices, false);
+  uint32_t windowed = 0;
+  const auto add_prev = [&](VertexId v) {
+    if (!in_prev[v] && windowed < window) {
+      in_prev[v] = true;
+      ++windowed;
+    }
+  };
+  for (size_t j = kBlock - 1; j < dsts.size(); j += kBlock) {
+    add_prev(dsts[j]);
+  }
+  add_prev(dsts.back());
+  for (const VertexId v : dsts) {
+    if (gen.NextBounded(4) == 0) {
+      add_prev(v);
+    }
+  }
+  while (windowed < window) {
+    const VertexId v = draw();
+    if (!in_curr[v]) {
+      add_prev(v);
+    }
+  }
+  GraphBuilder builder(kVertices, /*undirected=*/false);
+  for (const VertexId v : dsts) {
+    AddRandomEdge(builder, gen, 0, v, range);
+  }
+  for (VertexId v = 2; v < kFirstDst; v += 9) {
+    AddRandomEdge(builder, gen, 1, v, range);  // below the window
+  }
+  for (VertexId v = kFirstDst; v < kVertices; ++v) {
+    if (in_prev[v]) {
+      AddRandomEdge(builder, gen, 1, v, range);
+    }
+  }
+  return std::move(builder).Build();
+}
+
+TEST(DynamicWeightsTest, Node2VecWindowsAroundBlockCutoffMatchPerEdge) {
+  // |N(curr)| takes every residue mod 16, three times; the N(prev) window
+  // lies just below, at and just above the dispatch cutoff.
+  constexpr auto kRatio =
+      static_cast<uint32_t>(Node2VecApp::kMaxBlockWindowPerEdge);
+  const Node2VecApp app(2.0, 0.5);
+  for (uint32_t n = 1; n <= 48; ++n) {
+    for (const uint32_t window : {kRatio * n - 1, kRatio * n, kRatio * n + 1}) {
+      for (const WeightRange range :
+           {WeightRange::kSmall, WeightRange::kNearScaleLimit}) {
+        const CsrGraph graph = CutoffGraph(n * 4099 + window, n, window, range);
+        const auto windowed = std::ranges::count_if(
+            graph.Neighbors(1), [](VertexId v) { return v >= kFirstDst; });
+        ASSERT_EQ(graph.Degree(0), n);
+        ASSERT_EQ(static_cast<uint32_t>(windowed), window);
+        rng::Xoshiro256StarStar gen(n);
+        for (const WalkState& state : StatesFor(graph, 0, gen)) {
+          SCOPED_TRACE(testing::Message()
+                       << "n=" << n << " window=" << window);
+          ExpectChunksMatch(graph, app, state);
+          if (testing::Test::HasFatalFailure()) {
+            return;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Node2VecBlockMergeDispatchTest, SimdPathActive) {
+  const CsrGraph graph = CutoffGraph(1, 16, 16, WeightRange::kSmall);
+  const Node2VecApp app(2.0, 0.5);
+  std::vector<Weight> out(16);
+  if (!app.DynamicWeightsBlocks(graph, {1, 0, 1}, 0, out)) {
+    EXPECT_STREQ(sampling::PwrsKernelName(), "scalar");
+    GTEST_SKIP() << "host lacks AVX-512F/DQ/VL: the Node2Vec block merge "
+                    "was not exercised, only the galloping merge";
+  }
+  EXPECT_STREQ(sampling::PwrsKernelName(), "avx512");
 }
 
 // The pre-batch StepSampler on the scalar oracle: per-edge DynamicWeight
